@@ -18,12 +18,12 @@
 // itself, which is what the parallel scheduler improves.
 //
 //   perf_harness [--scale=<f>] [--jobs=<n>] [--reps=<n>]
-//                [--engine=auto|ast|vm|check] [--benchmarks=A,B,...]
+//                [--engine=ast|vm] [--benchmarks=A,B,...]
 //                [--out=<file>]
 //
 // --engine selects the engine for the serial-vs-parallel determinism
-// runs (auto defers to CUDANP_ENGINE, then the VM); the AST-vs-VM
-// comparison columns always measure both engines explicitly.
+// runs (default: the VM); the AST-vs-VM comparison columns always
+// measure both engines explicitly.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 when the serial and
 // parallel runs disagree or the engines diverge (determinism
@@ -57,16 +57,14 @@ struct HarnessOptions {
   double scale = 0.25;
   int jobs = 8;
   int reps = 3;
-  std::string engine = "auto";
+  std::string engine = "vm";
   std::vector<std::string> benchmarks;  // empty = whole suite
   std::string out = "BENCH_perf.json";
 };
 
 bool engine_from_name(const std::string& name, sim::Engine* out) {
-  if (name == "auto") *out = sim::Engine::kAuto;
-  else if (name == "ast") *out = sim::Engine::kAst;
+  if (name == "ast") *out = sim::Engine::kAst;
   else if (name == "vm") *out = sim::Engine::kVm;
-  else if (name == "check") *out = sim::Engine::kCheck;
   else return false;
   return true;
 }
@@ -93,7 +91,7 @@ HarnessOptions parse_args(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
-                   "[--reps=<n>] [--engine=auto|ast|vm|check] "
+                   "[--reps=<n>] [--engine=ast|vm] "
                    "[--benchmarks=A,B,...] [--out=<file>]\n");
       std::exit(1);
     }
@@ -194,7 +192,7 @@ bool runs_identical(const TimedRun& a, const TimedRun& b) {
 
 int main(int argc, char** argv) {
   HarnessOptions opt = parse_args(argc, argv);
-  sim::Engine eng = sim::Engine::kAuto;
+  sim::Engine eng = sim::Engine::kVm;
   (void)engine_from_name(opt.engine, &eng);
 
   auto spec = sim::DeviceSpec::gtx680();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "np/compiler.hpp"
@@ -94,6 +95,47 @@ void seed_certify_floats(Workload& w, std::uint64_t seed) {
             static_cast<double>(sim::sym_float_input(seed, pi, -1)));
     }
   }
+}
+
+std::vector<sim::SymArg> sym_args_for(
+    const Workload& w, const transform::TransformResult* variant) {
+  std::vector<sim::SymArg> args;
+  for (const auto& arg : w.launch.args) {
+    sim::SymArg a;
+    if (const auto* id = std::get_if<sim::BufferId>(&arg)) {
+      const sim::DeviceBuffer& buf = w.mem->buffer(*id);
+      a.type = buf.type();
+      a.elems = static_cast<std::int64_t>(buf.size());
+      if (buf.type() == ir::ScalarType::kFloat) {
+        a.kind = sim::SymArg::Kind::kBufferSymbolic;
+      } else {
+        a.kind = sim::SymArg::Kind::kBufferConcrete;
+        auto iv = buf.i32();
+        a.ints.assign(iv.begin(), iv.end());
+      }
+    } else {
+      const auto& v = std::get<sim::Value>(arg);
+      if (v.is_float()) {
+        a.kind = sim::SymArg::Kind::kScalarSymbolic;
+        a.type = ir::ScalarType::kFloat;
+      } else {
+        a.kind = sim::SymArg::Kind::kScalarConcrete;
+        a.type = ir::ScalarType::kInt;
+        a.scalar = v;
+      }
+    }
+    args.push_back(std::move(a));
+  }
+  if (variant) {
+    for (const auto& extra : variant->extra_buffers) {
+      sim::SymArg a;
+      a.kind = sim::SymArg::Kind::kBufferScratch;
+      a.type = extra.type;
+      a.elems = extra.elems_per_block * w.launch.grid.count();
+      args.push_back(a);
+    }
+  }
+  return args;
 }
 
 namespace {
@@ -241,41 +283,8 @@ Certificate Certifier::certify_variant(
 
   // Symbolic environments mirror the probe workload; the variant adds
   // its re-homed scratch buffers.
-  std::vector<sim::SymArg> bargs;
-  for (std::size_t i = 0; i < probe.launch.args.size(); ++i) {
-    sim::SymArg a;
-    if (const auto* id = std::get_if<sim::BufferId>(&probe.launch.args[i])) {
-      const sim::DeviceBuffer& buf = probe.mem->buffer(*id);
-      a.type = buf.type();
-      a.elems = static_cast<std::int64_t>(buf.size());
-      if (buf.type() == ir::ScalarType::kFloat) {
-        a.kind = sim::SymArg::Kind::kBufferSymbolic;
-      } else {
-        a.kind = sim::SymArg::Kind::kBufferConcrete;
-        auto iv = buf.i32();
-        a.ints.assign(iv.begin(), iv.end());
-      }
-    } else {
-      const auto& v = std::get<sim::Value>(probe.launch.args[i]);
-      if (v.is_float()) {
-        a.kind = sim::SymArg::Kind::kScalarSymbolic;
-        a.type = ir::ScalarType::kFloat;
-      } else {
-        a.kind = sim::SymArg::Kind::kScalarConcrete;
-        a.type = ir::ScalarType::kInt;
-        a.scalar = v;
-      }
-    }
-    bargs.push_back(std::move(a));
-  }
-  std::vector<sim::SymArg> vargs = bargs;
-  for (const auto& extra : variant.extra_buffers) {
-    sim::SymArg a;
-    a.kind = sim::SymArg::Kind::kBufferScratch;
-    a.type = extra.type;
-    a.elems = extra.elems_per_block * grid.count();
-    vargs.push_back(a);
-  }
+  const std::vector<sim::SymArg> bargs = sym_args_for(probe);
+  const std::vector<sim::SymArg> vargs = sym_args_for(probe, &variant);
 
   sim::SymExecOptions sopt;
   sopt.max_steps = opt_.max_steps;

@@ -39,11 +39,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ir/kernel.hpp"
 #include "np/workload.hpp"
 #include "sim/device.hpp"
 #include "sim/interpreter.hpp"
+#include "sim/symexec.hpp"
 #include "transform/np_config.hpp"
 #include "transform/transformer.hpp"
 
@@ -162,6 +164,13 @@ class Certifier {
   sim::DeviceSpec spec_;
   CertifyOptions opt_;
 };
+
+/// The certifier's symbolic environment for `w`: float buffers and
+/// float scalars become input leaves, int buffers and int scalars stay
+/// concrete. With a `variant`, its re-homed scratch buffers are appended
+/// uninitialized (the variant's extra kernel parameters).
+[[nodiscard]] std::vector<sim::SymArg> sym_args_for(
+    const Workload& w, const transform::TransformResult* variant = nullptr);
 
 /// Overwrites the float content of `w` with the certifier's concrete
 /// input assignment for `seed`: float buffer element e of launch arg i

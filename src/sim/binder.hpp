@@ -118,6 +118,13 @@ constexpr std::int16_t kBuiltinUnset = -32768;
 /// call site (and eval falls back to for unbound nodes).
 [[nodiscard]] Builtin resolve_builtin(const std::string& callee);
 
+/// The builtin a call dispatches on: the binder's annotation, or the
+/// string resolution for a node created after binding (mutated AST).
+[[nodiscard]] inline Builtin builtin_of(const ir::CallExpr& c) {
+  return c.sim_builtin == kBuiltinUnset ? resolve_builtin(c.callee)
+                                        : static_cast<Builtin>(c.sim_builtin);
+}
+
 /// Binds `kernel` (or returns its cached binding). Thread-safe: concurrent
 /// callers serialize on an internal mutex and the annotations are fully
 /// written before the shared_ptr is published.

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "ir/kernel.hpp"
+#include "sim/ops.hpp"
 
 namespace cudanp::sim::bytecode {
 
@@ -627,7 +628,7 @@ class Lowerer {
   void emit_check_live(std::int32_t slot, const std::string& name,
                        SourceLoc loc) {
     Instr in;
-    in.op = Op::kCheckLive;
+    in.op = Op::kRequireLive;
     in.slot = slot;
     in.name = intern(name);
     in.loc = loc;
@@ -636,24 +637,7 @@ class Lowerer {
 
   Operand lower_call(const CallExpr& c) {
     const std::string& f = c.callee;
-    Builtin b = c.sim_builtin == kBuiltinUnset
-                    ? resolve_builtin(f)
-                    : static_cast<Builtin>(c.sim_builtin);
-    auto unary_math = [&](MathFn fn) -> Operand {
-      if (c.args.size() != 1) {
-        emit_trap(f + " expects 1 argument at " + c.loc().str());
-        return Operand::immediate(Value::of_int(0));
-      }
-      Operand a = lower_expr(*c.args[0]);
-      Instr in;
-      in.op = Op::kMath1;
-      in.aux = static_cast<std::uint8_t>(fn);
-      in.dst = alloc_reg();
-      in.a = a;
-      Operand r = Operand::reg(in.dst);
-      emit(std::move(in));
-      return r;
-    };
+    const Builtin b = builtin_of(c);
     switch (b) {
       case Builtin::kSyncthreads:
         emit_loc(Op::kSync, c.loc());
@@ -663,54 +647,26 @@ class Lowerer {
       case Builtin::kShflDown:
       case Builtin::kShflXor:
         return lower_shfl(c, b);
-      case Builtin::kSqrt: return unary_math(MathFn::kSqrt);
-      case Builtin::kFabs: return unary_math(MathFn::kFabs);
-      case Builtin::kExp: return unary_math(MathFn::kExp);
-      case Builtin::kLog: return unary_math(MathFn::kLog);
-      case Builtin::kSin: return unary_math(MathFn::kSin);
-      case Builtin::kCos: return unary_math(MathFn::kCos);
-      case Builtin::kFloor: return unary_math(MathFn::kFloor);
-      case Builtin::kRsqrt: return unary_math(MathFn::kRsqrt);
-      case Builtin::kAbs: {
-        if (c.args.size() != 1) {
-          emit_trap("abs expects 1 argument at " + c.loc().str());
-          return Operand::immediate(Value::of_int(0));
-        }
-        Operand a = lower_expr(*c.args[0]);
-        Instr in;
-        in.op = Op::kAbs;
-        in.dst = alloc_reg();
-        in.a = a;
-        Operand r = Operand::reg(in.dst);
-        emit(std::move(in));
-        return r;
-      }
-      case Builtin::kMin:
-      case Builtin::kMax:
-      case Builtin::kFminf:
-      case Builtin::kFmaxf:
-      case Builtin::kPowf: {
-        if (c.args.size() != 2) {
-          emit_trap(f + " expects 2 arguments at " + c.loc().str());
-          return Operand::immediate(Value::of_int(0));
-        }
-        Operand x = lower_expr(*c.args[0]);
-        Operand y = lower_expr(*c.args[1]);
-        Instr in;
-        in.op = Op::kMath2;
-        in.aux = static_cast<std::uint8_t>(b);
-        in.dst = alloc_reg();
-        in.a = x;
-        in.b = y;
-        Operand r = Operand::reg(in.dst);
-        emit(std::move(in));
-        return r;
-      }
       case Builtin::kNotBuiltin:
+        emit_trap("unknown function '" + f + "' at " + c.loc().str());
+        return Operand::immediate(Value::of_int(0));
+      default:
         break;
     }
-    emit_trap("unknown function '" + f + "' at " + c.loc().str());
-    return Operand::immediate(Value::of_int(0));
+    const ops::MathOp& m = *ops::math_op(b);
+    if (c.args.size() != static_cast<std::size_t>(m.arity)) {
+      emit_trap(ops::arity_error(f, m) + " at " + c.loc().str());
+      return Operand::immediate(Value::of_int(0));
+    }
+    Instr in;
+    in.op = Op::kMath;
+    in.aux = static_cast<std::uint8_t>(b);
+    in.a = lower_expr(*c.args[0]);
+    if (m.arity == 2) in.b = lower_expr(*c.args[1]);
+    in.dst = alloc_reg();
+    Operand r = Operand::reg(in.dst);
+    emit(std::move(in));
+    return r;
   }
 
   Operand lower_shfl(const CallExpr& c, Builtin b) {

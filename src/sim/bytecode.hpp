@@ -5,7 +5,9 @@
 // sim/vm.cpp executes it with a dispatch loop over SoA lane state. Every
 // instruction maps 1:1 onto the exec::BlockCore helper the AST walker
 // calls at the same point, in the same order, so charges, watchdog steps,
-// hazard reports and error messages are bit-identical by construction.
+// hazard reports and error messages are bit-identical by construction;
+// operator results come from the scalar semantics every evaluator shares
+// (sim/ops.hpp).
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
@@ -47,7 +49,7 @@ enum class Op : std::uint8_t {
   kCharge,        ///< charge_issue(mask, weight[aux]).
   kTrap,          ///< throw SimError(names[name]).
   kVarGuard,      ///< var_read_check(slot): liveness/uninit, no copy.
-  kCheckLive,     ///< slot_at(slot): liveness errors only.
+  kRequireLive,   ///< slot_at(slot): liveness errors only.
   kStoreVar,      ///< store_var(slot, a).
   kDeclare,       ///< declare(decls[imm]).
   kDeclInit,      ///< decl_scalar_init(decls[imm], a).
@@ -60,9 +62,7 @@ enum class Op : std::uint8_t {
   kUn,            ///< dst = (UnOp aux) a.
   kCast,          ///< dst = (ScalarType aux) a.
   kSelect,        ///< dst = a ? b : c.
-  kMath1,         ///< dst = fn[aux](a)  (unary math builtin).
-  kAbs,           ///< dst = abs(a).
-  kMath2,         ///< dst = (Builtin aux)(a, b)  (min/max/fminf/fmaxf/powf).
+  kMath,          ///< dst = (Builtin aux)(a[, b])  (math builtin).
   kSync,          ///< __syncthreads().
   kShflGuard,     ///< sm_30+ check for the shfl family.
   kShflArgBegin,  ///< Push warp-broadened mask; suppress uninit checks.
@@ -91,11 +91,6 @@ enum class Op : std::uint8_t {
 
 /// Weight selector for kCharge.
 enum class ChargeKind : std::uint8_t { kAlu };
-
-/// Function selector for kMath1 (index into the VM's math table).
-enum class MathFn : std::uint8_t {
-  kSqrt, kFabs, kExp, kLog, kSin, kCos, kFloor, kRsqrt,
-};
 
 /// A value source: materialized register, folded immediate, geometry lane
 /// cache, uniform kernel argument, or live scalar slot storage (the last
@@ -127,7 +122,7 @@ struct Operand {
 
 struct Instr {
   Op op = Op::kHalt;
-  std::uint8_t aux = 0;      ///< BinOp/UnOp/ScalarType/Builtin/MathFn/flags
+  std::uint8_t aux = 0;      ///< BinOp/UnOp/ScalarType/Builtin/flags
   std::int32_t dst = -1;     ///< destination register (or element index)
   std::int32_t slot = -1;    ///< frame slot id
   std::int32_t target = -1;  ///< jump target (instruction index)

@@ -1,7 +1,6 @@
 #include "sim/exec_core.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <sstream>
 
@@ -89,11 +88,9 @@ void BlockCore::bind_params() {
       if (!v)
         throw SimError("arg " + std::to_string(i) + " ('" + p.name +
                        "') must be a scalar");
-      Value coerced = p.type.scalar == ScalarType::kFloat
-                          ? Value::of_float(v->as_f()).to_f32()
-                          : Value::of_int(v->as_i());
       slot.is_uniform_param = true;
-      slot.data.assign(1, coerced);  // uniform scalar, one copy
+      // Uniform scalar, one copy.
+      slot.data.assign(1, ops::coerce(*v, p.type.scalar));
     }
     slot.live = true;
   }
@@ -271,8 +268,8 @@ void BlockCore::buffer_access(Slot& slot, const std::string& name,
     std::size_t i =
         static_cast<std::size_t>(idx.at(static_cast<std::size_t>(l)).as_i());
     if (store) {
-      buf.store(i, coerce(store->at(static_cast<std::size_t>(l)),
-                          buf.type()));
+      buf.store(i, ops::coerce(store->at(static_cast<std::size_t>(l)),
+                               buf.type()));
       if (bsh && i < bsh->size()) (*bsh)[i] = 1;
     } else {
       if (bsh && shfl_arg_depth_ == 0 && i < bsh->size() && !(*bsh)[i])
@@ -296,7 +293,8 @@ void BlockCore::shared_access(Slot& slot, const std::string& name,
         static_cast<std::size_t>(flat[static_cast<std::size_t>(l)].as_i());
     if (store) {
       Value val =
-          coerce(store->at(static_cast<std::size_t>(l)), slot.type.scalar);
+          ops::coerce(store->at(static_cast<std::size_t>(l)),
+                      slot.type.scalar);
       if (san_) note_shared_write(slot, name, i, l, val, loc);
       slot.data[i] = val;
     } else {
@@ -341,7 +339,8 @@ void BlockCore::local_access(Slot& slot, const std::string& name,
         flat[static_cast<std::size_t>(l)].as_i());
     if (store) {
       slot.data[i] =
-          coerce(store->at(static_cast<std::size_t>(l)), slot.type.scalar);
+          ops::coerce(store->at(static_cast<std::size_t>(l)),
+                      slot.type.scalar);
       if (!slot.shadow.empty()) slot.shadow[i] = 1;
     } else {
       if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty() &&
@@ -408,7 +407,7 @@ void BlockCore::store_var(std::int32_t slot_id, const std::string& name,
   for (int l = 0; l < nlanes_; ++l)
     if (mask[static_cast<std::size_t>(l)]) {
       data[static_cast<std::size_t>(l)] =
-          coerce(val.at(static_cast<std::size_t>(l)), to);
+          ops::coerce(val.at(static_cast<std::size_t>(l)), to);
       if (shadow) shadow[static_cast<std::size_t>(l)] = 1;
     }
 }
@@ -421,14 +420,14 @@ void BlockCore::decl_scalar_init(Slot& slot, ScalarType to, const Mask& mask,
   for (int l = 0; l < nlanes_; ++l)
     if (mask[static_cast<std::size_t>(l)]) {
       data[static_cast<std::size_t>(l)] =
-          coerce(val.at(static_cast<std::size_t>(l)), to);
+          ops::coerce(val.at(static_cast<std::size_t>(l)), to);
       if (shadow) shadow[static_cast<std::size_t>(l)] = 1;
     }
 }
 
 void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
                           Value raw) {
-  Value val = coerce(raw, type.scalar);
+  Value val = ops::coerce(raw, type.scalar);
   if (type.space == AddrSpace::kShared) {
     slot.data[e] = val;
   } else {
@@ -475,12 +474,8 @@ void BlockCore::do_unop(UnOp op, LaneView a, const Mask& mask, Value* out) {
   charge_issue(mask, opt_.timing.weights.alu);
   for (int l = 0; l < nlanes_; ++l) {
     if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value x = a.at(static_cast<std::size_t>(l));
-    if (op == UnOp::kNeg)
-      x = x.is_float() ? Value::of_float(-x.f) : Value::of_int(-x.i);
-    else
-      x = Value::of_int(x.truthy() ? 0 : 1);
-    out[static_cast<std::size_t>(l)] = x;
+    out[static_cast<std::size_t>(l)] =
+        ops::apply_unop(op, a.at(static_cast<std::size_t>(l)));
   }
 }
 
@@ -490,7 +485,7 @@ void BlockCore::do_cast(ScalarType to, LaneView a, const Mask& mask,
   for (int l = 0; l < nlanes_; ++l) {
     if (!mask[static_cast<std::size_t>(l)]) continue;
     out[static_cast<std::size_t>(l)] =
-        coerce(a.at(static_cast<std::size_t>(l)), to);
+        ops::coerce(a.at(static_cast<std::size_t>(l)), to);
   }
 }
 
@@ -506,56 +501,18 @@ void BlockCore::do_select(LaneView c, LaneView a, LaneView b,
   }
 }
 
-void BlockCore::do_unary_math(double (*fn)(double), bool sfu, LaneView a,
-                              const Mask& mask, Value* out) {
-  charge_issue(mask, sfu ? opt_.timing.weights.fdiv_sqrt_transcendental
-                         : opt_.timing.weights.alu);
+void BlockCore::do_math(const ops::MathOp& m, LaneView x, LaneView y,
+                        const Mask& mask, Value* out) {
+  const CostWeights& w = opt_.timing.weights;
+  const double sfu = w.fdiv_sqrt_transcendental;
+  charge_issue(mask, m.weight == ops::MathWeight::kAlu   ? w.alu
+                     : m.weight == ops::MathWeight::kSfu ? sfu
+                                                         : 2 * sfu);
   for (int l = 0; l < nlanes_; ++l) {
     if (!mask[static_cast<std::size_t>(l)]) continue;
     out[static_cast<std::size_t>(l)] =
-        Value::of_float(fn(a.at(static_cast<std::size_t>(l)).as_f()))
-            .to_f32();
-  }
-}
-
-void BlockCore::do_abs(LaneView a, const Mask& mask, Value* out) {
-  charge_issue(mask, opt_.timing.weights.alu);
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value x = a.at(static_cast<std::size_t>(l));
-    out[static_cast<std::size_t>(l)] = x.is_float()
-                                           ? Value::of_float(std::fabs(x.f))
-                                           : Value::of_int(std::abs(x.i));
-  }
-}
-
-void BlockCore::do_binmath(Builtin b, LaneView x, LaneView y,
-                           const Mask& mask, Value* out) {
-  charge_issue(mask, b == Builtin::kPowf
-                         ? 2 * opt_.timing.weights.fdiv_sqrt_transcendental
-                         : opt_.timing.weights.alu);
-  const bool is_min = b == Builtin::kMin || b == Builtin::kFminf;
-  const bool force_float = b == Builtin::kFminf || b == Builtin::kFmaxf;
-  for (int l = 0; l < nlanes_; ++l) {
-    if (!mask[static_cast<std::size_t>(l)]) continue;
-    Value xv = x.at(static_cast<std::size_t>(l));
-    Value yv = y.at(static_cast<std::size_t>(l));
-    if (b == Builtin::kPowf) {
-      out[static_cast<std::size_t>(l)] =
-          Value::of_float(std::pow(xv.as_f(), yv.as_f())).to_f32();
-    } else if (is_min) {
-      if (xv.is_float() || yv.is_float() || force_float)
-        out[static_cast<std::size_t>(l)] =
-            Value::of_float(std::min(xv.as_f(), yv.as_f())).to_f32();
-      else
-        out[static_cast<std::size_t>(l)] = Value::of_int(std::min(xv.i, yv.i));
-    } else {
-      if (xv.is_float() || yv.is_float() || force_float)
-        out[static_cast<std::size_t>(l)] =
-            Value::of_float(std::max(xv.as_f(), yv.as_f())).to_f32();
-      else
-        out[static_cast<std::size_t>(l)] = Value::of_int(std::max(xv.i, yv.i));
-    }
+        ops::apply_math(m, x.at(static_cast<std::size_t>(l)),
+                        y.at(static_cast<std::size_t>(l)));
   }
 }
 
@@ -593,23 +550,10 @@ void BlockCore::do_shfl(Builtin b, const std::string& callee, LaneView var,
     int lane = l % spec_.warp_size;
     int warp_base = l - lane;
     std::int64_t wdt = width.at(static_cast<std::size_t>(l)).as_i();
-    if (wdt <= 0 || wdt > spec_.warp_size || (wdt & (wdt - 1)) != 0)
-      throw SimError("__shfl width must be a power of two in [1,32]");
-    int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
-    std::int64_t s = sel.at(static_cast<std::size_t>(l)).as_i();
-    int src_lane;
-    if (b == Builtin::kShfl) {
-      src_lane = group_base + static_cast<int>(s % wdt);
-    } else if (b == Builtin::kShflUp) {
-      int cand = lane - static_cast<int>(s);
-      src_lane = cand < group_base ? lane : cand;
-    } else if (b == Builtin::kShflDown) {
-      int cand = lane + static_cast<int>(s);
-      src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
-    } else {  // __shfl_xor
-      int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-      src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
-    }
+    if (!ops::shfl_width_ok(wdt, spec_.warp_size))
+      throw SimError(ops::kShflBadWidth);
+    int src_lane = ops::shfl_source_lane(
+        b, lane, sel.at(static_cast<std::size_t>(l)).as_i(), wdt);
     int src_tid = warp_base + src_lane;
     // A negative selector (e.g. __shfl(v, -1, 32)) or a delta that
     // escapes the warp produces an out-of-range source lane: undefined
@@ -794,6 +738,9 @@ Slot& BlockCore::declare(const DeclStmt& d) {
     throw SimError("internal: unbound declaration of '" + d.name +
                    "' (kernel AST modified after slot binding)");
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
+  // A declaration shadowing a kernel parameter (same name, same slot)
+  // replaces it with a fresh variable from here on.
+  if (slot.is_uniform_param || slot.is_buffer_param) slot = Slot{};
   if (!slot.live) {
     slot.type = d.type;
     if (d.type.space == AddrSpace::kShared) {
@@ -816,8 +763,8 @@ Slot& BlockCore::declare(const DeclStmt& d) {
   return slot;
 }
 
-void BlockCore::binop_fail(const char* prefix, SourceLoc loc) {
-  throw SimError(std::string(prefix) + loc.str());
+void BlockCore::binop_fail(const char* text, SourceLoc loc) {
+  throw SimError(std::string(text) + " at " + loc.str());
 }
 
 template <BinOp kOp>
@@ -827,21 +774,22 @@ void BlockCore::binop_lanes(LaneView a, LaneView b, const Mask& mask,
   // instead of re-testing LaneView's vec-or-splat branch every lane.
   const std::uint8_t* m = mask.data();
   const std::size_t n = static_cast<std::size_t>(nlanes_);
+  auto fail = [loc](const char* text) { binop_fail(text, loc); };
   if (a.vec && b.vec) {
     const Value* av = a.vec;
     const Value* bv = b.vec;
     for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(av[l], bv[l], loc);
+      if (m[l]) out[l] = ops::apply_binop<kOp>(av[l], bv[l], fail);
   } else if (a.vec) {
     const Value* av = a.vec;
     const Value bs = b.splat;
     for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(av[l], bs, loc);
+      if (m[l]) out[l] = ops::apply_binop<kOp>(av[l], bs, fail);
   } else if (b.vec) {
     const Value as = a.splat;
     const Value* bv = b.vec;
     for (std::size_t l = 0; l < n; ++l)
-      if (m[l]) out[l] = apply_binop<kOp>(as, bv[l], loc);
+      if (m[l]) out[l] = ops::apply_binop<kOp>(as, bv[l], fail);
   } else {
     // Uniform operands give a uniform result — evaluate once, but only
     // if some lane is active, so an error (e.g. division by zero) still
@@ -851,7 +799,7 @@ void BlockCore::binop_lanes(LaneView a, LaneView b, const Mask& mask,
     for (std::size_t l = 0; l < n; ++l) {
       if (!m[l]) continue;
       if (!done) {
-        r = apply_binop<kOp>(a.splat, b.splat, loc);
+        r = ops::apply_binop<kOp>(a.splat, b.splat, fail);
         done = true;
       }
       out[l] = r;
@@ -861,30 +809,9 @@ void BlockCore::binop_lanes(LaneView a, LaneView b, const Mask& mask,
 
 void BlockCore::dispatch_binop(BinOp op, LaneView a, LaneView b,
                                const Mask& mask, Value* out, SourceLoc loc) {
-  switch (op) {
-    case BinOp::kAdd: return binop_lanes<BinOp::kAdd>(a, b, mask, out, loc);
-    case BinOp::kSub: return binop_lanes<BinOp::kSub>(a, b, mask, out, loc);
-    case BinOp::kMul: return binop_lanes<BinOp::kMul>(a, b, mask, out, loc);
-    case BinOp::kDiv: return binop_lanes<BinOp::kDiv>(a, b, mask, out, loc);
-    case BinOp::kMod: return binop_lanes<BinOp::kMod>(a, b, mask, out, loc);
-    case BinOp::kLt: return binop_lanes<BinOp::kLt>(a, b, mask, out, loc);
-    case BinOp::kLe: return binop_lanes<BinOp::kLe>(a, b, mask, out, loc);
-    case BinOp::kGt: return binop_lanes<BinOp::kGt>(a, b, mask, out, loc);
-    case BinOp::kGe: return binop_lanes<BinOp::kGe>(a, b, mask, out, loc);
-    case BinOp::kEq: return binop_lanes<BinOp::kEq>(a, b, mask, out, loc);
-    case BinOp::kNe: return binop_lanes<BinOp::kNe>(a, b, mask, out, loc);
-    case BinOp::kLAnd: return binop_lanes<BinOp::kLAnd>(a, b, mask, out, loc);
-    case BinOp::kLOr: return binop_lanes<BinOp::kLOr>(a, b, mask, out, loc);
-    case BinOp::kBitAnd:
-      return binop_lanes<BinOp::kBitAnd>(a, b, mask, out, loc);
-    case BinOp::kBitOr:
-      return binop_lanes<BinOp::kBitOr>(a, b, mask, out, loc);
-    case BinOp::kBitXor:
-      return binop_lanes<BinOp::kBitXor>(a, b, mask, out, loc);
-    case BinOp::kShl: return binop_lanes<BinOp::kShl>(a, b, mask, out, loc);
-    case BinOp::kShr: return binop_lanes<BinOp::kShr>(a, b, mask, out, loc);
-  }
-  throw SimError("unreachable binop");
+  ops::with_binop(op, [&](auto k) {
+    binop_lanes<decltype(k)::value>(a, b, mask, out, loc);
+  });
 }
 
 }  // namespace cudanp::sim::exec

@@ -26,6 +26,7 @@
 #include "sim/interpreter.hpp"
 #include "sim/launch.hpp"
 #include "sim/memory.hpp"
+#include "sim/ops.hpp"
 #include "sim/sanitizer.hpp"
 #include "support/diagnostics.hpp"
 
@@ -221,12 +222,9 @@ class BlockCore {
   void do_cast(ir::ScalarType to, LaneView a, const Mask& mask, Value* out);
   void do_select(LaneView c, LaneView a, LaneView b, const Mask& mask,
                  Value* out);
-  void do_unary_math(double (*fn)(double), bool sfu, LaneView a,
-                     const Mask& mask, Value* out);
-  void do_abs(LaneView a, const Mask& mask, Value* out);
-  /// min / max / fminf / fmaxf / powf.
-  void do_binmath(Builtin b, LaneView x, LaneView y, const Mask& mask,
-                  Value* out);
+  /// Math builtin `m` (sim/ops.hpp); unary builtins ignore `y`.
+  void do_math(const ops::MathOp& m, LaneView x, LaneView y,
+               const Mask& mask, Value* out);
 
   // ---------------- builtins with shared semantics ----------------
   /// __syncthreads(): counters, charges, barrier bookkeeping.
@@ -290,24 +288,16 @@ class BlockCore {
   /// Declares (or re-declares, for loop bodies) a variable.
   Slot& declare(const ir::DeclStmt& d);
 
-  [[nodiscard]] static Value coerce(Value v, ir::ScalarType to);
-
   [[nodiscard]] std::size_t first_active(const Mask& mask) const {
     for (int l = 0; l < nlanes_; ++l)
       if (mask[static_cast<std::size_t>(l)]) return static_cast<std::size_t>(l);
     return 0;
   }
 
-  /// One operator, op fixed at compile time so every instantiation is a
-  /// handful of instructions that inlines into binop_lanes' lane loop.
-  /// (A runtime-op switch here defeats inlining: GCC sees one big 19-way
-  /// function and emits an out-of-line call per lane.)
-  template <ir::BinOp kOp>
-  static Value apply_binop(Value a, Value b, SourceLoc loc);
-
-  /// Cold path for the division/modulo diagnostics; out of line so the
-  /// string construction doesn't bloat apply_binop's inline body.
-  [[noreturn]] static void binop_fail(const char* prefix, SourceLoc loc);
+  /// Cold path for the division/modulo faults: throws "<text> at <loc>".
+  /// Out of line so the string construction doesn't bloat the inlined
+  /// per-lane operator body.
+  [[noreturn]] static void binop_fail(const char* text, SourceLoc loc);
 
   /// Lane loop for one operator with the op as a compile-time constant,
   /// so the inlined apply_binop collapses to a single case — operator
@@ -364,71 +354,5 @@ class BlockCore {
   std::int64_t sync_ops_ = 0;
   std::int64_t divergent_branches_ = 0;
 };
-
-// Inline so binop_lanes' per-lane loop folds the whole switch away once
-// kOp is a constant; out-of-line these two are ~40% of a kernel's run.
-
-inline Value BlockCore::coerce(Value v, ir::ScalarType to) {
-  switch (to) {
-    case ir::ScalarType::kFloat: return v.to_f32();
-    case ir::ScalarType::kInt:
-    case ir::ScalarType::kBool: return Value::of_int(v.as_i());
-    case ir::ScalarType::kVoid: return v;
-  }
-  return v;
-}
-
-template <ir::BinOp kOp>
-inline Value BlockCore::apply_binop(Value a, Value b, SourceLoc loc) {
-  using ir::BinOp;
-  if constexpr (kOp == BinOp::kLAnd)
-    return Value::of_int(a.truthy() && b.truthy());
-  else if constexpr (kOp == BinOp::kLOr)
-    return Value::of_int(a.truthy() || b.truthy());
-  else if constexpr (kOp == BinOp::kBitAnd)
-    return Value::of_int(a.as_i() & b.as_i());
-  else if constexpr (kOp == BinOp::kBitOr)
-    return Value::of_int(a.as_i() | b.as_i());
-  else if constexpr (kOp == BinOp::kBitXor)
-    return Value::of_int(a.as_i() ^ b.as_i());
-  else if constexpr (kOp == BinOp::kShl)
-    return Value::of_int(a.as_i() << b.as_i());
-  else if constexpr (kOp == BinOp::kShr)
-    return Value::of_int(a.as_i() >> b.as_i());
-  else {
-    const bool fl = a.is_float() || b.is_float();
-    if constexpr (kOp == BinOp::kAdd)
-      return fl ? Value::of_float(a.as_f() + b.as_f()).to_f32()
-                : Value::of_int(a.i + b.i);
-    else if constexpr (kOp == BinOp::kSub)
-      return fl ? Value::of_float(a.as_f() - b.as_f()).to_f32()
-                : Value::of_int(a.i - b.i);
-    else if constexpr (kOp == BinOp::kMul)
-      return fl ? Value::of_float(a.as_f() * b.as_f()).to_f32()
-                : Value::of_int(a.i * b.i);
-    else if constexpr (kOp == BinOp::kDiv) {
-      if (fl) return Value::of_float(a.as_f() / b.as_f()).to_f32();
-      if (b.i == 0) binop_fail("integer division by zero at ", loc);
-      return Value::of_int(a.i / b.i);
-    } else if constexpr (kOp == BinOp::kMod) {
-      if (fl) binop_fail("operator % requires integers at ", loc);
-      if (b.i == 0) binop_fail("modulo by zero at ", loc);
-      return Value::of_int(a.i % b.i);
-    } else if constexpr (kOp == BinOp::kLt) {
-      return Value::of_int(fl ? a.as_f() < b.as_f() : a.i < b.i);
-    } else if constexpr (kOp == BinOp::kLe) {
-      return Value::of_int(fl ? a.as_f() <= b.as_f() : a.i <= b.i);
-    } else if constexpr (kOp == BinOp::kGt) {
-      return Value::of_int(fl ? a.as_f() > b.as_f() : a.i > b.i);
-    } else if constexpr (kOp == BinOp::kGe) {
-      return Value::of_int(fl ? a.as_f() >= b.as_f() : a.i >= b.i);
-    } else if constexpr (kOp == BinOp::kEq) {
-      return Value::of_int(fl ? a.as_f() == b.as_f() : a.i == b.i);
-    } else {
-      static_assert(kOp == BinOp::kNe, "unhandled binop");
-      return Value::of_int(fl ? a.as_f() != b.as_f() : a.i != b.i);
-    }
-  }
-}
 
 }  // namespace cudanp::sim::exec

@@ -1,19 +1,21 @@
 // Symbolic executor implementation — model documented in sim/symexec.hpp.
 //
 // Layout of this file:
-//   1. shared concrete-arithmetic helpers (exactly apply_binop / the math
-//      builtin semantics, reused by constant folding and SymEvaluator)
+//   1. helpers over the shared scalar semantics (sim/ops.hpp), used by
+//      constant folding and SymEvaluator
 //   2. SymArena: hash-consing, eager folding builders, normalization
-//   3. the lockstep-vector executor (anonymous namespace `Exec`)
+//   3. the lockstep-vector executor (anonymous namespace `Exec`), which
+//      resolves names through the binder's slots (sim/binder.hpp)
 //   4. SymEvaluator
 #include "sim/symexec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
 
 #include "ir/stmt.hpp"
+#include "sim/ops.hpp"
 #include "support/rng.hpp"
 
 namespace cudanp::sim {
@@ -24,101 +26,13 @@ using ir::BinOp;
 using ir::ScalarType;
 using ir::UnOp;
 
-/// Mirrors exec::BlockCore::apply_binop exactly (float results round
-/// through f32, int64 exact); throws SymFault where the interpreter would
-/// throw SimError.
-Value eval_bin_value(BinOp op, Value a, Value b) {
-  const bool fl = a.is_float() || b.is_float();
-  switch (op) {
-    case BinOp::kLAnd: return Value::of_int(a.truthy() && b.truthy());
-    case BinOp::kLOr: return Value::of_int(a.truthy() || b.truthy());
-    case BinOp::kBitAnd: return Value::of_int(a.as_i() & b.as_i());
-    case BinOp::kBitOr: return Value::of_int(a.as_i() | b.as_i());
-    case BinOp::kBitXor: return Value::of_int(a.as_i() ^ b.as_i());
-    case BinOp::kShl: return Value::of_int(a.as_i() << b.as_i());
-    case BinOp::kShr: return Value::of_int(a.as_i() >> b.as_i());
-    case BinOp::kAdd:
-      return fl ? Value::of_float(a.as_f() + b.as_f()).to_f32()
-                : Value::of_int(a.i + b.i);
-    case BinOp::kSub:
-      return fl ? Value::of_float(a.as_f() - b.as_f()).to_f32()
-                : Value::of_int(a.i - b.i);
-    case BinOp::kMul:
-      return fl ? Value::of_float(a.as_f() * b.as_f()).to_f32()
-                : Value::of_int(a.i * b.i);
-    case BinOp::kDiv:
-      if (fl) return Value::of_float(a.as_f() / b.as_f()).to_f32();
-      if (b.i == 0) throw SymFault{"integer division by zero"};
-      return Value::of_int(a.i / b.i);
-    case BinOp::kMod:
-      if (fl) throw SymFault{"operator % requires integers"};
-      if (b.i == 0) throw SymFault{"modulo by zero"};
-      return Value::of_int(a.i % b.i);
-    case BinOp::kLt: return Value::of_int(fl ? a.as_f() < b.as_f() : a.i < b.i);
-    case BinOp::kLe:
-      return Value::of_int(fl ? a.as_f() <= b.as_f() : a.i <= b.i);
-    case BinOp::kGt: return Value::of_int(fl ? a.as_f() > b.as_f() : a.i > b.i);
-    case BinOp::kGe:
-      return Value::of_int(fl ? a.as_f() >= b.as_f() : a.i >= b.i);
-    case BinOp::kEq:
-      return Value::of_int(fl ? a.as_f() == b.as_f() : a.i == b.i);
-    case BinOp::kNe:
-      return Value::of_int(fl ? a.as_f() != b.as_f() : a.i != b.i);
-  }
-  throw SymFault{"unreachable binop"};
-}
+/// ops:: fault callback: folding raises SymFault where the simulator
+/// would raise SimError.
+[[noreturn]] void sym_fail(const char* text) { throw SymFault{text}; }
 
-Value eval_un_value(UnOp op, Value x) {
-  if (op == UnOp::kNeg)
-    return x.is_float() ? Value::of_float(-x.f) : Value::of_int(-x.i);
-  return Value::of_int(x.truthy() ? 0 : 1);
-}
-
-/// Mirrors the interpreter's do_unary_math / do_abs / do_binmath bindings.
-Value eval_call_value(SymFn fn, const std::vector<Value>& xs) {
-  auto um = [&](double (*f)(double)) {
-    return Value::of_float(f(xs[0].as_f())).to_f32();
-  };
-  switch (fn) {
-    case SymFn::kSqrt: return um([](double x) { return std::sqrt(x); });
-    case SymFn::kFabs: return um([](double x) { return std::fabs(x); });
-    case SymFn::kExp: return um([](double x) { return std::exp(x); });
-    case SymFn::kLog: return um([](double x) { return std::log(x); });
-    case SymFn::kSin: return um([](double x) { return std::sin(x); });
-    case SymFn::kCos: return um([](double x) { return std::cos(x); });
-    case SymFn::kFloor: return um([](double x) { return std::floor(x); });
-    case SymFn::kRsqrt: return um([](double x) { return 1.0 / std::sqrt(x); });
-    case SymFn::kAbs:
-      return xs[0].is_float() ? Value::of_float(std::fabs(xs[0].as_f()))
-                              : Value::of_int(std::abs(xs[0].i));
-    case SymFn::kMin:
-      return (xs[0].is_float() || xs[1].is_float())
-                 ? Value::of_float(std::min(xs[0].as_f(), xs[1].as_f()))
-                       .to_f32()
-                 : Value::of_int(std::min(xs[0].i, xs[1].i));
-    case SymFn::kMax:
-      return (xs[0].is_float() || xs[1].is_float())
-                 ? Value::of_float(std::max(xs[0].as_f(), xs[1].as_f()))
-                       .to_f32()
-                 : Value::of_int(std::max(xs[0].i, xs[1].i));
-    case SymFn::kFminf:
-      return Value::of_float(std::min(xs[0].as_f(), xs[1].as_f())).to_f32();
-    case SymFn::kFmaxf:
-      return Value::of_float(std::max(xs[0].as_f(), xs[1].as_f())).to_f32();
-    case SymFn::kPowf:
-      return Value::of_float(std::pow(xs[0].as_f(), xs[1].as_f())).to_f32();
-  }
-  throw SymFault{"unreachable builtin"};
-}
-
-Value coerce_value(Value v, ScalarType to) {
-  switch (to) {
-    case ScalarType::kFloat: return v.to_f32();
-    case ScalarType::kInt:
-    case ScalarType::kBool: return Value::of_int(v.as_i());
-    case ScalarType::kVoid: return v;
-  }
-  return v;
+Value call_value(Builtin fn, const std::vector<Value>& xs) {
+  return ops::apply_math(*ops::math_op(fn), xs[0],
+                         xs.size() > 1 ? xs[1] : Value{});
 }
 
 std::uint64_t hash_node(const SymNode& n) {
@@ -214,7 +128,7 @@ bool SymArena::constant(std::uint32_t id, Value* out) const {
 }
 
 std::uint32_t SymArena::fold_bin(BinOp op, Value a, Value b) {
-  Value r = eval_bin_value(op, a, b);
+  Value r = ops::apply_binop(op, a, b, sym_fail);
   return r.is_float() ? cfloat(r.f) : cint(r.i);
 }
 
@@ -243,7 +157,7 @@ std::uint32_t SymArena::bin(BinOp op, std::uint32_t a, std::uint32_t b) {
 std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
   Value v;
   if (constant(a, &v)) {
-    Value r = eval_un_value(op, v);
+    Value r = ops::apply_unop(op, v);
     return r.is_float() ? cfloat(r.f) : cint(r.i);
   }
   SymNode n;
@@ -254,7 +168,7 @@ std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
   return intern(std::move(n));
 }
 
-std::uint32_t SymArena::call(SymFn fn, std::vector<std::uint32_t> kids) {
+std::uint32_t SymArena::call(Builtin fn, std::vector<std::uint32_t> kids) {
   std::vector<Value> vals(kids.size());
   bool all_const = true;
   bool any_float = false;
@@ -263,15 +177,14 @@ std::uint32_t SymArena::call(SymFn fn, std::vector<std::uint32_t> kids) {
     any_float = any_float || nodes_[kids[i]].type == ScalarType::kFloat;
   }
   if (all_const) {
-    Value r = eval_call_value(fn, vals);
+    Value r = call_value(fn, vals);
     return r.is_float() ? cfloat(r.f) : cint(r.i);
   }
   SymNode n;
   n.kind = SymKind::kCall;
   n.op = static_cast<std::uint8_t>(fn);
-  n.type = (fn == SymFn::kAbs || fn == SymFn::kMin || fn == SymFn::kMax)
-               ? (any_float ? ScalarType::kFloat : ScalarType::kInt)
-               : ScalarType::kFloat;
+  n.type = ops::math_op(fn)->int_body && !any_float ? ScalarType::kInt
+                                                    : ScalarType::kFloat;
   n.kids = std::move(kids);
   return intern(std::move(n));
 }
@@ -285,7 +198,7 @@ std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
   if (nodes_[a].type == target) return a;
   Value v;
   if (constant(a, &v)) {
-    Value r = coerce_value(v, target);
+    Value r = ops::coerce(v, target);
     return r.is_float() ? cfloat(r.f) : cint(r.i);
   }
   SymNode n;
@@ -352,10 +265,10 @@ namespace {
 
 Value combine_nary(SymNaryOp op, Value a, Value b) {
   switch (op) {
-    case SymNaryOp::kAdd: return eval_bin_value(BinOp::kAdd, a, b);
-    case SymNaryOp::kMul: return eval_bin_value(BinOp::kMul, a, b);
-    case SymNaryOp::kMin: return eval_call_value(SymFn::kMin, {a, b});
-    case SymNaryOp::kMax: return eval_call_value(SymFn::kMax, {a, b});
+    case SymNaryOp::kAdd: return ops::apply_binop<BinOp::kAdd>(a, b, sym_fail);
+    case SymNaryOp::kMul: return ops::apply_binop<BinOp::kMul>(a, b, sym_fail);
+    case SymNaryOp::kMin: return call_value(Builtin::kMin, {a, b});
+    case SymNaryOp::kMax: return call_value(Builtin::kMax, {a, b});
   }
   return a;
 }
@@ -468,10 +381,10 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
       std::vector<std::uint32_t> kids;
       kids.reserve(n.kids.size());
       for (auto k : n.kids) kids.push_back(normalize(k));
-      auto fn = static_cast<SymFn>(n.op);
-      if (fn == SymFn::kMin || fn == SymFn::kFminf)
+      auto fn = static_cast<Builtin>(n.op);
+      if (fn == Builtin::kMin || fn == Builtin::kFminf)
         r = make_nary(SymNaryOp::kMin, n.type, std::move(kids));
-      else if (fn == SymFn::kMax || fn == SymFn::kFmaxf)
+      else if (fn == Builtin::kMax || fn == Builtin::kFmaxf)
         r = make_nary(SymNaryOp::kMax, n.type, std::move(kids));
       else
         r = call(fn, std::move(kids));
@@ -552,11 +465,7 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
       os << ir::to_string(static_cast<UnOp>(n.op)) << kid(0);
       break;
     case SymKind::kCall: {
-      static const char* kNames[] = {"sqrtf", "fabsf", "expf",  "logf",
-                                     "sinf",  "cosf",  "floorf", "rsqrtf",
-                                     "abs",   "min",   "max",   "fminf",
-                                     "fmaxf", "powf"};
-      os << kNames[n.op] << "(";
+      os << ops::math_op(static_cast<Builtin>(n.op))->name << "(";
       for (std::size_t i = 0; i < n.kids.size(); ++i)
         os << (i ? ", " : "") << kid(i);
       os << ")";
@@ -644,6 +553,7 @@ class Exec {
   SymExecResult run() {
     SymExecResult res;
     try {
+      bound_ = bind_kernel(kernel_);
       setup();
       for (int bz = 0; bz < grid_.z; ++bz)
         for (int by = 0; by < grid_.y; ++by)
@@ -726,7 +636,7 @@ class Exec {
   void begin_block(int bx, int by, int bz) {
     blk_ = static_cast<std::int64_t>(bz) * grid_.x * grid_.y +
            static_cast<std::int64_t>(by) * grid_.x + bx;
-    vars_.clear();
+    frame_.assign(bound_->num_slots(), Var{});
     preds_.clear();
     returned_.assign(static_cast<std::size_t>(nlanes_), 0);
     epoch_ = 0;
@@ -741,7 +651,6 @@ class Exec {
     auto splat_i = [&](std::int64_t v) {
       return IdVec(static_cast<std::size_t>(nlanes_), ar_.cint(v));
     };
-    geom_.clear();
     IdVec tx(static_cast<std::size_t>(nlanes_)),
         ty(static_cast<std::size_t>(nlanes_)),
         tz(static_cast<std::size_t>(nlanes_));
@@ -751,18 +660,18 @@ class Exec {
       ty[li] = ar_.cint((l / block_.x) % block_.y);
       tz[li] = ar_.cint(l / (block_.x * block_.y));
     }
-    geom_["threadIdx.x"] = std::move(tx);
-    geom_["threadIdx.y"] = std::move(ty);
-    geom_["threadIdx.z"] = std::move(tz);
-    geom_["blockIdx.x"] = splat_i(bx);
-    geom_["blockIdx.y"] = splat_i(by);
-    geom_["blockIdx.z"] = splat_i(bz);
-    geom_["blockDim.x"] = splat_i(block_.x);
-    geom_["blockDim.y"] = splat_i(block_.y);
-    geom_["blockDim.z"] = splat_i(block_.z);
-    geom_["gridDim.x"] = splat_i(grid_.x);
-    geom_["gridDim.y"] = splat_i(grid_.y);
-    geom_["gridDim.z"] = splat_i(grid_.z);
+    geom_[kGeomThreadIdxX] = std::move(tx);
+    geom_[kGeomThreadIdxY] = std::move(ty);
+    geom_[kGeomThreadIdxZ] = std::move(tz);
+    geom_[kGeomBlockIdxX] = splat_i(bx);
+    geom_[kGeomBlockIdxY] = splat_i(by);
+    geom_[kGeomBlockIdxZ] = splat_i(bz);
+    geom_[kGeomBlockDimX] = splat_i(block_.x);
+    geom_[kGeomBlockDimY] = splat_i(block_.y);
+    geom_[kGeomBlockDimZ] = splat_i(block_.z);
+    geom_[kGeomGridDimX] = splat_i(grid_.x);
+    geom_[kGeomGridDimY] = splat_i(grid_.y);
+    geom_[kGeomGridDimZ] = splat_i(grid_.z);
     // Parameters.
     for (std::size_t i = 0; i < kernel_.params.size(); ++i) {
       const ir::Param& p = kernel_.params[i];
@@ -785,7 +694,7 @@ class Exec {
         }
         v.scalar.assign(static_cast<std::size_t>(nlanes_), id);
       }
-      vars_[p.name] = std::move(v);
+      frame_[i] = std::move(v);  // the binder gives params slots 0..n-1
     }
   }
 
@@ -805,12 +714,19 @@ class Exec {
     if (races_.size() < 64) races_.push_back(SymRace{msg});
   }
 
-  Var& lookup(const std::string& name, const char* what) {
-    auto it = vars_.find(name);
-    if (it == vars_.end() || !it->second.live)
-      throw Abort{std::string("use of undeclared variable '") + name +
-                  "' in " + what};
-    return it->second;
+  /// The live variable bound to `slot` (a VarRef's sim_slot). Geometry
+  /// codes land here only where a geometry name is invalid (array base,
+  /// assignment target) and, like undeclared names, abort.
+  Var& lookup(std::int32_t slot, const std::string& name, const char* what) {
+    if (slot >= 0) {
+      Var& v = frame_[static_cast<std::size_t>(slot)];
+      if (v.live) return v;
+    } else if (slot == kSlotUnbound) {
+      throw Abort{"internal: unbound reference to '" + name +
+                  "' (kernel AST modified after slot binding)"};
+    }
+    throw Abort{std::string("use of undeclared variable '") + name + "' in " +
+                what};
   }
 
   IdVec splat(std::uint32_t id) const {
@@ -881,9 +797,9 @@ class Exec {
   }
 
   IdVec eval_varref(const ir::VarRef& v, const Mask& m) {
-    auto git = geom_.find(v.name);
-    if (git != geom_.end()) return git->second;
-    Var& var = lookup(v.name, "expression");
+    if (slot_is_geometry(v.sim_slot))
+      return geom_[slot_geometry_code(v.sim_slot)];
+    Var& var = lookup(v.sim_slot, v.name, "expression");
     if (var.is_buffer || var.type.is_array())
       throw Abort{"array '" + v.name + "' used as a value"};
     IdVec out = var.scalar;
@@ -897,55 +813,42 @@ class Exec {
 
   IdVec eval_call(const ir::CallExpr& c, const Mask& m) {
     const std::string& f = c.callee;
-    if (f == "__syncthreads") {
-      barrier(m);
-      return splat(ar_.cint(0));
+    const Builtin b = builtin_of(c);
+    switch (b) {
+      case Builtin::kSyncthreads:
+        barrier(m);
+        return splat(ar_.cint(0));
+      case Builtin::kShfl:
+      case Builtin::kShflUp:
+      case Builtin::kShflDown:
+      case Builtin::kShflXor:
+        return eval_shfl(c, b, m);
+      case Builtin::kNotBuiltin:
+        throw Abort{"call to unknown function '" + f + "'"};
+      default:
+        break;
     }
-    if (f == "__shfl" || f == "__shfl_up" || f == "__shfl_down" ||
-        f == "__shfl_xor")
-      return eval_shfl(c, m);
-    struct FnMap {
-      const char* name;
-      SymFn fn;
-      int arity;
-    };
-    static const FnMap kFns[] = {
-        {"sqrtf", SymFn::kSqrt, 1},   {"sqrt", SymFn::kSqrt, 1},
-        {"fabsf", SymFn::kFabs, 1},   {"fabs", SymFn::kFabs, 1},
-        {"expf", SymFn::kExp, 1},     {"exp", SymFn::kExp, 1},
-        {"__expf", SymFn::kExp, 1},   {"logf", SymFn::kLog, 1},
-        {"log", SymFn::kLog, 1},      {"__logf", SymFn::kLog, 1},
-        {"sinf", SymFn::kSin, 1},     {"__sinf", SymFn::kSin, 1},
-        {"cosf", SymFn::kCos, 1},     {"__cosf", SymFn::kCos, 1},
-        {"floorf", SymFn::kFloor, 1}, {"rsqrtf", SymFn::kRsqrt, 1},
-        {"abs", SymFn::kAbs, 1},      {"min", SymFn::kMin, 2},
-        {"max", SymFn::kMax, 2},      {"fminf", SymFn::kFminf, 2},
-        {"fmaxf", SymFn::kFmaxf, 2},  {"powf", SymFn::kPowf, 2},
-    };
-    for (const auto& fm : kFns) {
-      if (f != fm.name) continue;
-      if (static_cast<int>(c.args.size()) != fm.arity)
-        throw Abort{f + " expects " + std::to_string(fm.arity) + " argument(s)",
-                    true};
-      std::vector<IdVec> xs;
-      xs.reserve(c.args.size());
-      for (const auto& a : c.args) xs.push_back(eval(*a, m));
-      IdVec out(static_cast<std::size_t>(nlanes_), kInv);
-      for (int l = 0; l < nlanes_; ++l) {
-        auto li = static_cast<std::size_t>(l);
-        if (!m[li]) continue;
-        std::vector<std::uint32_t> kids;
-        kids.reserve(xs.size());
-        bool bad = false;
-        for (const auto& x : xs) {
-          bad = bad || x[li] == kInv;
-          kids.push_back(x[li]);
-        }
-        out[li] = bad ? kInv : ar_.call(fm.fn, std::move(kids));
+    const int arity = ops::math_op(b)->arity;
+    if (static_cast<int>(c.args.size()) != arity)
+      throw Abort{f + " expects " + std::to_string(arity) + " argument(s)",
+                  true};
+    std::vector<IdVec> xs;
+    xs.reserve(c.args.size());
+    for (const auto& a : c.args) xs.push_back(eval(*a, m));
+    IdVec out(static_cast<std::size_t>(nlanes_), kInv);
+    for (int l = 0; l < nlanes_; ++l) {
+      auto li = static_cast<std::size_t>(l);
+      if (!m[li]) continue;
+      std::vector<std::uint32_t> kids;
+      kids.reserve(xs.size());
+      bool bad = false;
+      for (const auto& x : xs) {
+        bad = bad || x[li] == kInv;
+        kids.push_back(x[li]);
       }
-      return out;
+      out[li] = bad ? kInv : ar_.call(b, std::move(kids));
     }
-    throw Abort{"call to unknown function '" + f + "'"};
+    return out;
   }
 
   Mask broaden(const Mask& m) const {
@@ -961,7 +864,7 @@ class Exec {
     return broad;
   }
 
-  IdVec eval_shfl(const ir::CallExpr& c, const Mask& m) {
+  IdVec eval_shfl(const ir::CallExpr& c, Builtin b, const Mask& m) {
     if (div_depth_ > 0)
       throw Abort{"__shfl under a symbolically divergent branch"};
     if (c.args.size() != 3)
@@ -981,26 +884,11 @@ class Exec {
           !ar_.constant(sel[li], &sv) || !ar_.constant(wid[li], &wv))
         throw Abort{c.callee + " with a symbolic selector or width"};
       std::int64_t wdt = wv.as_i();
-      if (wdt <= 0 || wdt > opt_.warp_size || (wdt & (wdt - 1)) != 0)
-        throw Abort{"__shfl width must be a power of two in [1,32]", true};
+      if (!ops::shfl_width_ok(wdt, opt_.warp_size))
+        throw Abort{ops::kShflBadWidth, true};
       int lane = l % opt_.warp_size;
-      int warp_base = l - lane;
-      int group_base = lane / static_cast<int>(wdt) * static_cast<int>(wdt);
-      std::int64_t s = sv.as_i();
-      int src_lane;
-      if (c.callee == "__shfl") {
-        src_lane = group_base + static_cast<int>(s % wdt);
-      } else if (c.callee == "__shfl_up") {
-        int cand = lane - static_cast<int>(s);
-        src_lane = cand < group_base ? lane : cand;
-      } else if (c.callee == "__shfl_down") {
-        int cand = lane + static_cast<int>(s);
-        src_lane = cand >= group_base + static_cast<int>(wdt) ? lane : cand;
-      } else {  // __shfl_xor
-        int cand = group_base + ((lane - group_base) ^ static_cast<int>(s));
-        src_lane = cand < group_base + static_cast<int>(wdt) ? cand : lane;
-      }
-      int src_tid = warp_base + src_lane;
+      int src_lane = ops::shfl_source_lane(b, lane, sv.as_i(), wdt);
+      int src_tid = l - lane + src_lane;
       if (src_lane < 0 || src_lane >= opt_.warp_size || src_tid >= nlanes_)
         src_tid = l;  // hardware-style out-of-range recovery
       std::uint32_t id = var[static_cast<std::size_t>(src_tid)];
@@ -1100,8 +988,9 @@ class Exec {
   IdVec access(const ir::ArrayIndex& ai, const Mask& m, const IdVec* store) {
     if (ai.base->kind() != ir::ExprKind::kVarRef)
       throw Abort{"array base must be a variable", true};
-    const std::string& name = static_cast<const ir::VarRef&>(*ai.base).name;
-    Var& v = lookup(name, "array access");
+    const auto& ref = static_cast<const ir::VarRef&>(*ai.base);
+    const std::string& name = ref.name;
+    Var& v = lookup(ref.sim_slot, name, "array access");
     ++seq_;
     IdVec out(static_cast<std::size_t>(nlanes_), kInv);
 
@@ -1312,6 +1201,9 @@ class Exec {
   }
 
   void exec_decl(const ir::DeclStmt& d, const Mask& m) {
+    if (d.sim_slot < 0)
+      throw Abort{"internal: unbound declaration of '" + d.name +
+                  "' (kernel AST modified after slot binding)"};
     Var v;
     v.type = d.type;
     v.live = true;
@@ -1362,11 +1254,12 @@ class Exec {
         }
       }
     }
-    vars_[d.name] = std::move(v);
+    frame_[static_cast<std::size_t>(d.sim_slot)] = std::move(v);
   }
 
-  void store_var(const std::string& name, const Mask& m, const IdVec& val) {
-    Var& v = lookup(name, "assignment");
+  void store_var(const ir::VarRef& ref, const Mask& m, const IdVec& val) {
+    const std::string& name = ref.name;
+    Var& v = lookup(ref.sim_slot, name, "assignment");
     if (v.is_buffer || v.type.is_array() || v.uniform)
       throw Abort{"cannot assign to '" + name + "'", true};
     for (int l = 0; l < nlanes_; ++l) {
@@ -1392,7 +1285,7 @@ class Exec {
       }
     }
     if (a.lhs->kind() == ir::ExprKind::kVarRef) {
-      store_var(static_cast<const ir::VarRef&>(*a.lhs).name, m, rhs);
+      store_var(static_cast<const ir::VarRef&>(*a.lhs), m, rhs);
       return;
     }
     if (a.lhs->kind() == ir::ExprKind::kArrayIndex) {
@@ -1429,7 +1322,7 @@ class Exec {
     // pre-state, then merge per-lane register values with select nodes.
     // Side effects that could leak across lanes (shared/global stores,
     // barriers, shfl, return) abort inside either side.
-    auto pre = vars_;
+    auto pre = frame_;
     Mask tsm = tm, fsm = fm;
     IdVec tpred(static_cast<std::size_t>(nlanes_), kInv);
     IdVec fpred(static_cast<std::size_t>(nlanes_), kInv);
@@ -1444,16 +1337,16 @@ class Exec {
     preds_.push_back(std::move(tpred));
     exec_block(*s.then_body, tsm);
     preds_.back() = std::move(fpred);
-    auto then_vars = std::move(vars_);
-    vars_ = std::move(pre);
+    auto then_frame = std::move(frame_);
+    frame_ = std::move(pre);
     if (s.else_body) exec_block(*s.else_body, fsm);
     preds_.pop_back();
     --div_depth_;
-    merge_vars(then_vars, c, tm, sm);
+    merge_vars(then_frame, c, tm, sm);
   }
 
-  void merge_vars(std::unordered_map<std::string, Var>& then_vars,
-                  const IdVec& cond, const Mask& tm, const Mask& sm) {
+  void merge_vars(std::vector<Var>& then_frame, const IdVec& cond,
+                  const Mask& tm, const Mask& sm) {
     auto merge_id = [&](std::size_t lane, std::uint32_t tv,
                         std::uint32_t ev) -> std::uint32_t {
       if (tm[lane]) return tv;
@@ -1462,13 +1355,14 @@ class Exec {
       if (tv == kInv || ev == kInv) return kInv;
       return ar_.select(cond[lane], tv, ev);
     };
-    for (auto& [name, tv] : then_vars) {
-      auto it = vars_.find(name);
-      if (it == vars_.end()) {
-        vars_.emplace(name, std::move(tv));  // declared only in then-branch
+    for (std::size_t slot = 0; slot < frame_.size(); ++slot) {
+      Var& tv = then_frame[slot];
+      Var& ev = frame_[slot];
+      if (!tv.live) continue;
+      if (!ev.live) {
+        ev = std::move(tv);  // declared only in the then-branch
         continue;
       }
-      Var& ev = it->second;
       if (ev.block_scoped || ev.is_buffer) continue;  // stores were banned
       if (tv.scalar.size() == ev.scalar.size())
         for (std::size_t i = 0; i < ev.scalar.size(); ++i)
@@ -1542,8 +1436,11 @@ class Exec {
   std::vector<SymRace> races_;
   std::int64_t steps_ = 0;
 
-  std::unordered_map<std::string, Var> vars_;
-  std::unordered_map<std::string, IdVec> geom_;
+  std::shared_ptr<const BoundKernel> bound_;
+  /// Per-block variables, indexed by the binder's slot ids.
+  std::vector<Var> frame_;
+  /// Geometry lane vectors, indexed by Geom code.
+  IdVec geom_[kGeomCount];
   Mask returned_;
   std::int64_t epoch_ = 0;
   std::int64_t seq_ = 0;
@@ -1587,34 +1484,34 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
       case SymKind::kBin: {
         Value a, b;
         if (!eval(n.kids[0], &a) || !eval(n.kids[1], &b)) return false;
-        r = eval_bin_value(static_cast<ir::BinOp>(n.op), a, b);
+        r = ops::apply_binop(static_cast<ir::BinOp>(n.op), a, b, sym_fail);
         break;
       }
       case SymKind::kUnary: {
         Value a;
         if (!eval(n.kids[0], &a)) return false;
-        r = eval_un_value(static_cast<ir::UnOp>(n.op), a);
+        r = ops::apply_unop(static_cast<ir::UnOp>(n.op), a);
         break;
       }
       case SymKind::kCall: {
         std::vector<Value> xs(n.kids.size());
         for (std::size_t i = 0; i < n.kids.size(); ++i)
           if (!eval(n.kids[i], &xs[i])) return false;
-        r = eval_call_value(static_cast<SymFn>(n.op), xs);
+        r = call_value(static_cast<Builtin>(n.op), xs);
         break;
       }
       case SymKind::kCast: {
         Value a;
         if (!eval(n.kids[0], &a)) return false;
-        r = coerce_value(a, static_cast<ir::ScalarType>(n.op));
+        r = ops::coerce(a, static_cast<ir::ScalarType>(n.op));
         break;
       }
       case SymKind::kSelect: {
-        Value c, a, b;
-        if (!eval(n.kids[0], &c) || !eval(n.kids[1], &a) ||
-            !eval(n.kids[2], &b))
+        // Lazy like the branch it models: the untaken side may hold a
+        // gather whose index is out of range on this lane.
+        Value c;
+        if (!eval(n.kids[0], &c) || !eval(n.kids[c.truthy() ? 1 : 2], &r))
           return false;
-        r = c.truthy() ? a : b;
         break;
       }
       case SymKind::kGather: {

@@ -6,10 +6,11 @@
 // scalar parameters are concrete (so loop bounds, indices and masks
 // fold), while float buffer elements and float scalar parameters are
 // opaque input leaves. Every arithmetic step builds a hash-consed
-// expression node whose constant folding replicates
-// exec::BlockCore::apply_binop bit-for-bit (float ops round through f32,
-// int64 exact), so a fully-concrete symbolic run computes exactly what
-// the interpreter would.
+// expression node whose constant folding shares sim/ops.hpp with the
+// simulator's engines (float ops round through f32, int64 exact), and
+// names resolve through the same binder slots (sim/binder.hpp), so a
+// fully-concrete symbolic run computes exactly what the interpreter
+// would.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "ir/kernel.hpp"
+#include "sim/binder.hpp"
 #include "sim/launch.hpp"
 
 namespace cudanp::sim {
@@ -47,19 +49,11 @@ enum class SymKind : std::uint8_t {
   kInput,
   kBin,    // ir::BinOp over kids[0], kids[1]
   kUnary,  // ir::UnOp over kids[0]
-  kCall,   // SymFn over kids
+  kCall,   // math Builtin (sim/ops.hpp) over kids
   kCast,   // to ScalarType (op field) of kids[0]
   kSelect, // kids = {cond, then, else}
   kGather, // kids = {index, cell0, cell1, ...}: load at a symbolic index
   kNary,   // normalized AC chain (SymNaryOp), operands sorted by id
-};
-
-/// Builtin math functions a symbolic call node can carry (mirrors the
-/// interpreter's Builtin set minus barriers/shfl, which the executor
-/// resolves during execution and never represents as nodes).
-enum class SymFn : std::uint8_t {
-  kSqrt, kFabs, kExp, kLog, kSin, kCos, kFloor, kRsqrt, kAbs,
-  kMin, kMax, kFminf, kFmaxf, kPowf,
 };
 
 /// AC operators the normalizer flattens into kNary chains.
@@ -68,7 +62,7 @@ enum class SymNaryOp : std::uint8_t { kAdd, kMul, kMin, kMax };
 struct SymNode {
   SymKind kind = SymKind::kConstInt;
   ir::ScalarType type = ir::ScalarType::kInt;
-  /// BinOp / UnOp / SymFn / SymNaryOp / target ScalarType, by kind.
+  /// BinOp / UnOp / math Builtin / SymNaryOp / target ScalarType, by kind.
   std::uint8_t op = 0;
   std::int32_t param = -1;   // kInput: argument index
   std::int64_t ival = 0;     // kConstInt value / kInput element index
@@ -77,16 +71,18 @@ struct SymNode {
 };
 
 /// Raised by constant folding when the folded operation would make the
-/// interpreter throw (integer division by zero); the executor turns it
-/// into an aborted result with fault = true.
+/// interpreter throw (integer division by zero: the same fault text,
+/// from sim/ops.hpp, without the location); the executor turns it into
+/// an aborted result with fault = true.
 struct SymFault {
   std::string message;
 };
 
 /// Hash-consing arena. Node ids are indices; structural equality of two
 /// expressions built in the *same* arena is id equality. Builders fold
-/// eagerly when every operand is constant, replicating the interpreter's
-/// exact semantics (f32 rounding on float ops and math calls).
+/// eagerly when every operand is constant, through the operator table
+/// the interpreter shares (sim/ops.hpp: f32 rounding on float ops and
+/// math calls).
 class SymArena {
  public:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
@@ -99,7 +95,10 @@ class SymArena {
   [[nodiscard]] std::uint32_t bin(ir::BinOp op, std::uint32_t a,
                                   std::uint32_t b);
   [[nodiscard]] std::uint32_t un(ir::UnOp op, std::uint32_t a);
-  [[nodiscard]] std::uint32_t call(SymFn fn, std::vector<std::uint32_t> kids);
+  /// `fn` must be a math builtin (sqrt ... powf); barriers and shuffles
+  /// are resolved during execution and never become nodes.
+  [[nodiscard]] std::uint32_t call(Builtin fn,
+                                   std::vector<std::uint32_t> kids);
   [[nodiscard]] std::uint32_t cast(ir::ScalarType to, std::uint32_t a);
   [[nodiscard]] std::uint32_t select(std::uint32_t c, std::uint32_t a,
                                      std::uint32_t b);
@@ -210,8 +209,8 @@ struct SymExecResult {
                                         const SymExecOptions& opt = {});
 
 /// Evaluates an expression under a concrete assignment of input leaves
-/// (float leaves from sym_float_input(seed, ...)). Mirrors interpreter
-/// arithmetic exactly. Returns false when evaluation faults (div by
+/// (float leaves from sym_float_input(seed, ...)) with the interpreter's
+/// arithmetic (sim/ops.hpp). Returns false when evaluation faults (div by
 /// zero, gather index out of range).
 class SymEvaluator {
  public:

@@ -1,7 +1,6 @@
 #include "sim/vm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "sim/fault.hpp"
@@ -12,30 +11,12 @@ namespace cudanp::sim::vm {
 namespace {
 
 using bytecode::Instr;
-using bytecode::MathFn;
 using bytecode::Op;
 using bytecode::Operand;
 using exec::any;
 using exec::LaneView;
 using exec::Mask;
 using exec::Slot;
-
-/// kMath1 dispatch table, indexed by MathFn. The function bodies are the
-/// AST walker's eval_call lambdas verbatim, so results are bit-identical.
-struct MathEntry {
-  double (*fn)(double);
-  bool sfu;
-};
-const MathEntry kMathTable[] = {
-    {[](double x) { return std::sqrt(x); }, true},
-    {[](double x) { return std::fabs(x); }, false},
-    {[](double x) { return std::exp(x); }, true},
-    {[](double x) { return std::log(x); }, true},
-    {[](double x) { return std::sin(x); }, true},
-    {[](double x) { return std::cos(x); }, true},
-    {[](double x) { return std::floor(x); }, false},
-    {[](double x) { return 1.0 / std::sqrt(x); }, true},
-};
 
 class VmExec : public exec::BlockCore {
  public:
@@ -141,7 +122,7 @@ class VmExec : public exec::BlockCore {
         case Op::kVarGuard:
           (void)var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
           break;
-        case Op::kCheckLive:
+        case Op::kRequireLive:
           (void)slot_at(ins.slot, name_at(ins.name), ins.loc);
           break;
         case Op::kStoreVar:
@@ -200,17 +181,9 @@ class VmExec : public exec::BlockCore {
         case Op::kSelect:
           do_select(src(ins.a), src(ins.b), src(ins.c), cur(), reg(ins.dst));
           break;
-        case Op::kMath1: {
-          const MathEntry& m = kMathTable[ins.aux];
-          do_unary_math(m.fn, m.sfu, src(ins.a), cur(), reg(ins.dst));
-          break;
-        }
-        case Op::kAbs:
-          do_abs(src(ins.a), cur(), reg(ins.dst));
-          break;
-        case Op::kMath2:
-          do_binmath(static_cast<Builtin>(ins.aux), src(ins.a), src(ins.b),
-                     cur(), reg(ins.dst));
+        case Op::kMath:
+          do_math(*ops::math_op(static_cast<Builtin>(ins.aux)), src(ins.a),
+                  src(ins.b), cur(), reg(ins.dst));
           break;
         case Op::kSync:
           do_sync(cur(), ins.loc);

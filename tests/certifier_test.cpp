@@ -114,10 +114,10 @@ TEST(SymArena, NormalizeRewritesSelectOverLessIntoMin) {
   auto x = a.input(0, 0, ir::ScalarType::kFloat);
   auto y = a.input(0, 1, ir::ScalarType::kFloat);
   auto sel = a.select(a.bin(ir::BinOp::kLt, x, y), x, y);
-  auto fmin = a.call(sim::SymFn::kFminf, {x, y});
+  auto fmin = a.call(sim::Builtin::kFminf, {x, y});
   EXPECT_EQ(a.normalize(sel), a.normalize(fmin));
   auto selmax = a.select(a.bin(ir::BinOp::kLt, x, y), y, x);
-  auto fmax = a.call(sim::SymFn::kFmaxf, {x, y});
+  auto fmax = a.call(sim::Builtin::kFmaxf, {x, y});
   EXPECT_EQ(a.normalize(selmax), a.normalize(fmax));
 }
 

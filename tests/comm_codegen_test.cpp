@@ -98,7 +98,8 @@ class CommHarness {
     launch.block = inter ? Dim3{cfg_.master_count, cfg_.slave_size, 1}
                          : Dim3{cfg_.slave_size, cfg_.master_count, 1};
     launch.args = {out};
-    Interpreter interp(DeviceSpec::gtx680(), mem);
+    const DeviceSpec spec = DeviceSpec::gtx680();  // Interpreter keeps a ref
+    Interpreter interp(spec, mem);
     (void)interp.run(*kernel, launch);
     auto span = mem.buffer(out).f32();
     return {span.begin(), span.end()};
@@ -131,6 +132,18 @@ double apply(ReduceOp op, double a, double b) {
     case ReduceOp::kMul: return a * b;
     case ReduceOp::kMin: return std::min(a, b);
     case ReduceOp::kMax: return std::max(a, b);
+  }
+  return 0;
+}
+
+/// The exclusive scan's first prefix: the operator's identity, with the
+/// extreme finite floats CommCodegen::identity_expr uses for min/max.
+double scan_identity(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kAdd: return 0.0;
+    case ReduceOp::kMul: return 1.0;
+    case ReduceOp::kMin: return 3.4e38;
+    case ReduceOp::kMax: return -3.4e38;
   }
   return 0;
 }
@@ -170,8 +183,6 @@ TEST_P(CommCodegenTest, ReductionCombinesWholeGroup) {
 
 TEST_P(CommCodegenTest, ExclusiveScanPrefixes) {
   const Case& c = GetParam();
-  if (c.op == ReduceOp::kMin || c.op == ReduceOp::kMax)
-    GTEST_SKIP() << "scan is exercised for +/* (the paper's LIB uses +)";
   CommHarness h(c);
   auto out = h.run(seed_value(), [&](CommCodegen& comm, Block& b) {
     b.push(std::make_unique<DeclStmt>(
@@ -182,7 +193,7 @@ TEST_P(CommCodegenTest, ExclusiveScanPrefixes) {
   });
   const auto& cfg = h.cfg_;
   for (int m = 0; m < cfg.master_count; ++m) {
-    double want = c.op == ReduceOp::kMul ? 1.0 : 0.0;
+    double want = scan_identity(c.op);
     for (int s = 0; s < cfg.slave_size; ++s) {
       EXPECT_NEAR(out[static_cast<std::size_t>(m * cfg.slave_size + s)], want,
                   std::fabs(want) * 1e-4 + 1e-3)

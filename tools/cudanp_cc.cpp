@@ -186,9 +186,6 @@ struct CliOptions {
   int elems = 64;
   bool portable_races = false;
   int jobs = 0;  // 0 = auto (CUDANP_JOBS env var, else hardware concurrency)
-  // Which block engine executes kernels: auto (CUDANP_ENGINE env var,
-  // then the VM), the AST walker, the bytecode VM, or cross-checked.
-  sim::Engine engine = sim::Engine::kAuto;
   // 0 = auto (CUDANP_MAX_STEPS env var, else the interpreter default);
   // negative disables the watchdog entirely.
   long long watchdog_steps = 0;
@@ -232,7 +229,6 @@ void usage() {
          "                 [--report] [--preprocess] [-o <file>]\n"
          "                 [--sanitize] [--error-limit=<n>] [--elems=<n>]\n"
          "                 [--portable-races] [--jobs=<n>]\n"
-         "                 [--engine=auto|ast|vm|check]\n"
          "                 [--watchdog-steps=<n>] [--fallback=baseline]\n"
          "                 [--certify] [--certified-fast-path]\n"
          "       cudanp-cc --batch=<manifest> [--jobs=<n>]\n"
@@ -337,13 +333,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         return std::nullopt;
     } else if (a == "--portable-races") {
       opt.portable_races = true;
-    } else if (a.rfind("--engine=", 0) == 0) {
-      std::string v = value("--engine=");
-      if (v == "auto") opt.engine = sim::Engine::kAuto;
-      else if (v == "ast") opt.engine = sim::Engine::kAst;
-      else if (v == "vm") opt.engine = sim::Engine::kVm;
-      else if (v == "check") opt.engine = sim::Engine::kCheck;
-      else return std::nullopt;
     } else if (a.rfind("--jobs=", 0) == 0) {
       if (!parse_flag_int("--jobs", value("--jobs="), 1,
                           sim::ExecPool::kMaxWorkers, &opt.jobs))
@@ -851,7 +840,6 @@ int main(int argc, char** argv) {
       if (kernel->parallel_loop_count() == 0) {
         sim::Interpreter::Options iopt;
         iopt.jobs = opt->jobs;
-        iopt.engine = opt->engine;
         iopt.limits.max_steps_per_block = opt->watchdog_steps;
         np::Runner runner(spec, iopt);
         np::Workload w =
@@ -874,7 +862,6 @@ int main(int argc, char** argv) {
       np::ValidationOptions vopt;
       vopt.sanitizer = sopt;
       vopt.interp.jobs = opt->jobs;
-      vopt.interp.engine = opt->engine;
       vopt.interp.limits.max_steps_per_block = opt->watchdog_steps;
       vopt.certify = opt->certify;
       vopt.certified_fast_path = opt->certified_fast_path;
