@@ -6,28 +6,16 @@
 // bit-identical stats, timing and output buffers, and writes a machine-
 // readable BENCH_perf.json so CI can track host wall-clock regressions.
 //
-// Every benchmark is additionally run serially under both block engines
-// (the AST walker and the bytecode VM, see docs/performance.md); the
-// per-engine wall-clocks land as columns in the report and the two
-// engines' stats, modeled timing and output buffers must be
-// bit-identical or the harness fails.
-//
 // Note the distinction from the fig*_ benches: those report *modeled GPU
 // time* (sim seconds), which is independent of the jobs count by
 // construction. This harness reports *host wall-clock* of the simulator
 // itself, which is what the parallel scheduler improves.
 //
 //   perf_harness [--scale=<f>] [--jobs=<n>] [--reps=<n>]
-//                [--engine=ast|vm] [--benchmarks=A,B,...]
-//                [--out=<file>]
-//
-// --engine selects the engine for the serial-vs-parallel determinism
-// runs (default: the VM); the AST-vs-VM comparison columns always
-// measure both engines explicitly.
+//                [--benchmarks=A,B,...] [--out=<file>]
 //
 // Exit status: 0 on success, 1 on usage errors, 2 when the serial and
-// parallel runs disagree or the engines diverge (determinism
-// regression).
+// parallel runs disagree (determinism regression).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -57,17 +45,9 @@ struct HarnessOptions {
   double scale = 0.25;
   int jobs = 8;
   int reps = 3;
-  std::string engine = "vm";
   std::vector<std::string> benchmarks;  // empty = whole suite
   std::string out = "BENCH_perf.json";
 };
-
-bool engine_from_name(const std::string& name, sim::Engine* out) {
-  if (name == "ast") *out = sim::Engine::kAst;
-  else if (name == "vm") *out = sim::Engine::kVm;
-  else return false;
-  return true;
-}
 
 HarnessOptions parse_args(int argc, char** argv) {
   HarnessOptions opt;
@@ -84,21 +64,17 @@ HarnessOptions parse_args(int argc, char** argv) {
       std::string name;
       while (std::getline(ss, name, ','))
         if (!name.empty()) opt.benchmarks.push_back(name);
-    } else if (std::strncmp(a, "--engine=", 9) == 0) {
-      opt.engine = a + 9;
     } else if (std::strncmp(a, "--out=", 6) == 0) {
       opt.out = a + 6;
     } else {
       std::fprintf(stderr,
                    "usage: perf_harness [--scale=<f>] [--jobs=<n>] "
-                   "[--reps=<n>] [--engine=ast|vm] "
-                   "[--benchmarks=A,B,...] [--out=<file>]\n");
+                   "[--reps=<n>] [--benchmarks=A,B,...] "
+                   "[--out=<file>]\n");
       std::exit(1);
     }
   }
-  sim::Engine eng;
-  if (opt.scale <= 0 || opt.jobs <= 0 || !engine_from_name(opt.engine, &eng))
-    std::exit(1);
+  if (opt.scale <= 0 || opt.jobs <= 0) std::exit(1);
   return opt;
 }
 
@@ -148,12 +124,10 @@ struct TimedRun {
 /// Runs the baseline kernel `reps` times at the given job count and keeps
 /// the best wall-clock plus the final state for the identity cross-check.
 TimedRun timed_run(const kernels::Benchmark& bench, const ir::Kernel& kernel,
-                   const sim::DeviceSpec& spec, sim::Engine engine, int jobs,
-                   int reps) {
+                   const sim::DeviceSpec& spec, int jobs, int reps) {
   TimedRun out;
   sim::Interpreter::Options iopt;
   iopt.jobs = jobs;
-  iopt.engine = engine;
   np::Runner runner(spec, iopt);
   out.wall_ms = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
@@ -172,14 +146,10 @@ struct Row {
   double parse_ms = 0;
   double transform_ms = 0;
   std::int64_t blocks = 0;
-  double ast_ms = 0;
-  double vm_ms = 0;
-  double engine_speedup = 0;   // ast_ms / vm_ms
-  bool engines_identical = false;
   double serial_ms = 0;
   double parallel_ms = 0;
   double speedup = 0;
-  bool identical = false;  // serial==parallel AND ast==vm
+  bool identical = false;  // serial == parallel
 };
 
 bool runs_identical(const TimedRun& a, const TimedRun& b) {
@@ -192,8 +162,6 @@ bool runs_identical(const TimedRun& a, const TimedRun& b) {
 
 int main(int argc, char** argv) {
   HarnessOptions opt = parse_args(argc, argv);
-  sim::Engine eng = sim::Engine::kVm;
-  (void)engine_from_name(opt.engine, &eng);
 
   auto spec = sim::DeviceSpec::gtx680();
   std::vector<std::unique_ptr<kernels::Benchmark>> suite;
@@ -204,13 +172,13 @@ int main(int argc, char** argv) {
       suite.push_back(kernels::make_benchmark(name, opt.scale));
   }
 
-  std::printf("perf_harness: %zu benchmark(s), scale=%.2f, engine=%s, "
+  std::printf("perf_harness: %zu benchmark(s), scale=%.2f, "
               "jobs=1 vs %d, reps=%d (hardware_concurrency=%u)\n\n",
-              suite.size(), opt.scale, opt.engine.c_str(), opt.jobs, opt.reps,
+              suite.size(), opt.scale, opt.jobs, opt.reps,
               std::thread::hardware_concurrency());
-  std::printf("%-6s %9s %12s %8s %8s %8s %6s %10s %12s %8s %s\n", "name",
-              "parse ms", "transform ms", "blocks", "ast ms", "vm ms", "vmx",
-              "serial ms", "parallel ms", "speedup", "identical");
+  std::printf("%-6s %9s %12s %8s %10s %12s %8s %s\n", "name", "parse ms",
+              "transform ms", "blocks", "serial ms", "parallel ms", "speedup",
+              "identical");
 
   std::vector<Row> rows;
   bool all_identical = true;
@@ -242,55 +210,34 @@ int main(int argc, char** argv) {
     }
     row.blocks = probe.launch.grid.count();
 
-    // Engine comparison: both engines serially, bit-identity required.
-    TimedRun ast =
-        timed_run(*b, *kernel, spec, sim::Engine::kAst, 1, opt.reps);
-    TimedRun vm = timed_run(*b, *kernel, spec, sim::Engine::kVm, 1, opt.reps);
-    row.ast_ms = ast.wall_ms;
-    row.vm_ms = vm.wall_ms;
-    row.engine_speedup = vm.wall_ms > 0 ? ast.wall_ms / vm.wall_ms : 0;
-    row.engines_identical = runs_identical(ast, vm);
-
-    // Determinism across job counts with the selected engine.
-    TimedRun serial = timed_run(*b, *kernel, spec, eng, 1, opt.reps);
-    TimedRun parallel = timed_run(*b, *kernel, spec, eng, opt.jobs, opt.reps);
+    // Determinism across job counts.
+    TimedRun serial = timed_run(*b, *kernel, spec, 1, opt.reps);
+    TimedRun parallel = timed_run(*b, *kernel, spec, opt.jobs, opt.reps);
     row.serial_ms = serial.wall_ms;
     row.parallel_ms = parallel.wall_ms;
     row.speedup = parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0;
-    row.identical = runs_identical(serial, parallel) && row.engines_identical;
+    row.identical = runs_identical(serial, parallel);
     all_identical = all_identical && row.identical;
 
-    std::printf(
-        "%-6s %9.2f %12.2f %8lld %8.2f %8.2f %5.2fx %10.2f %12.2f %7.2fx "
-        "%s\n",
-        row.name.c_str(), row.parse_ms, row.transform_ms,
-        static_cast<long long>(row.blocks), row.ast_ms, row.vm_ms,
-        row.engine_speedup, row.serial_ms, row.parallel_ms, row.speedup,
-        row.identical ? "yes" : "NO");
+    std::printf("%-6s %9.2f %12.2f %8lld %10.2f %12.2f %7.2fx %s\n",
+                row.name.c_str(), row.parse_ms, row.transform_ms,
+                static_cast<long long>(row.blocks), row.serial_ms,
+                row.parallel_ms, row.speedup, row.identical ? "yes" : "NO");
     std::fflush(stdout);
     rows.push_back(std::move(row));
   }
 
   double log_sum = 0;
   int counted = 0;
-  double elog_sum = 0;
-  int ecounted = 0;
   for (const auto& r : rows) {
     if (r.speedup > 0) {
       log_sum += std::log(r.speedup);
       ++counted;
     }
-    if (r.engine_speedup > 0) {
-      elog_sum += std::log(r.engine_speedup);
-      ++ecounted;
-    }
   }
   double geomean = counted ? std::exp(log_sum / counted) : 0;
-  double engine_geomean = ecounted ? std::exp(elog_sum / ecounted) : 0;
   std::printf("\ngeomean host speedup (jobs=%d vs serial): %.2fx\n", opt.jobs,
               geomean);
-  std::printf("geomean engine speedup (vm vs ast, jobs=1): %.2fx\n",
-              engine_geomean);
 
   std::ofstream js(opt.out);
   if (!js) {
@@ -301,23 +248,16 @@ int main(int argc, char** argv) {
      << "  \"scale\": " << opt.scale << ",\n"
      << "  \"jobs\": " << opt.jobs << ",\n"
      << "  \"reps\": " << opt.reps << ",\n"
-     << "  \"engine\": \"" << opt.engine << "\",\n"
      << "  \"hardware_concurrency\": "
      << std::thread::hardware_concurrency() << ",\n"
      << "  \"geomean_speedup\": " << geomean << ",\n"
-     << "  \"geomean_engine_speedup\": " << engine_geomean << ",\n"
      << "  \"all_identical\": " << (all_identical ? "true" : "false") << ",\n"
      << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     js << "    {\"name\": \"" << r.name << "\", \"parse_ms\": " << r.parse_ms
        << ", \"transform_ms\": " << r.transform_ms
-       << ", \"blocks\": " << r.blocks << ", \"ast_ms\": " << r.ast_ms
-       << ", \"vm_ms\": " << r.vm_ms
-       << ", \"engine_speedup\": " << r.engine_speedup
-       << ", \"engines_identical\": "
-       << (r.engines_identical ? "true" : "false")
-       << ", \"serial_ms\": " << r.serial_ms
+       << ", \"blocks\": " << r.blocks << ", \"serial_ms\": " << r.serial_ms
        << ", \"parallel_ms\": " << r.parallel_ms
        << ", \"speedup\": " << r.speedup << ", \"identical\": "
        << (r.identical ? "true" : "false") << "}"

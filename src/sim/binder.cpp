@@ -52,9 +52,16 @@ Builtin resolve_builtin(const std::string& f) {
 
 namespace {
 
-/// Builds the name -> slot table and annotates the AST. Declarations are
-/// name-keyed exactly like the old per-block unordered_map: re-declaring
-/// a name (loop bodies, param shadows) resolves to the same slot.
+/// Builds the frame layout and annotates the AST in one pre-order walk
+/// (a for-loop's init, condition and increment before its body). A
+/// declaration reuses the slot its name currently binds to, unless that
+/// slot is a kernel parameter or was declared with a different type; then
+/// it gets a fresh slot. So every slot has exactly one static type, and
+/// re-declarations of one variable (loop bodies) share storage. A
+/// reference binds to its name's most recent declaration; a reference
+/// that precedes every declaration of its name binds to the first one's
+/// slot, where the runtime liveness bit raises "use of undeclared
+/// variable".
 class Binder {
  public:
   explicit Binder(const Kernel& kernel) {
@@ -63,16 +70,16 @@ class Binder {
     for (std::size_t i = 0; i < kernel.params.size(); ++i) {
       SlotDecl sd;
       sd.name = kernel.params[i].name;
+      sd.type = kernel.params[i].type;
       sd.is_param = true;
-      sd.param_index = i;
-      by_name_.emplace(sd.name, static_cast<std::int32_t>(out_->slots.size()));
+      current_[sd.name] = static_cast<std::int32_t>(out_->slots.size());
       out_->slots.push_back(std::move(sd));
     }
-    // First pass: collect every declared name so forward references bind
-    // to a slot (a runtime liveness bit preserves use-before-declare
-    // errors). Second pass: annotate expressions.
-    collect_decls(*kernel.body);
-    annotate_stmt(*kernel.body);
+    bind_stmt(*kernel.body);
+    for (const VarRef* v : forward_) {
+      auto it = first_decl_.find(v->name);
+      v->sim_slot = it == first_decl_.end() ? kSlotUndeclared : it->second;
+    }
   }
 
   [[nodiscard]] std::shared_ptr<const BoundKernel> take() {
@@ -80,64 +87,78 @@ class Binder {
   }
 
  private:
-  std::int32_t slot_for_decl(const std::string& name) {
-    auto [it, inserted] =
-        by_name_.emplace(name, static_cast<std::int32_t>(out_->slots.size()));
-    if (inserted) {
+  void declare(const DeclStmt& d) {
+    auto cur = current_.find(d.name);
+    const SlotDecl* prev =
+        cur == current_.end()
+            ? nullptr
+            : &out_->slots[static_cast<std::size_t>(cur->second)];
+    if (prev && !prev->is_param && prev->type == d.type) {
+      d.sim_slot = cur->second;
+    } else {
+      d.sim_slot = static_cast<std::int32_t>(out_->slots.size());
       SlotDecl sd;
-      sd.name = name;
+      sd.name = d.name;
+      sd.type = d.type;
       out_->slots.push_back(std::move(sd));
+      current_[d.name] = d.sim_slot;
+      first_decl_.emplace(d.name, d.sim_slot);
     }
-    return it->second;
+    if (d.type.space == AddrSpace::kShared)
+      out_->shared_words_bound +=
+          static_cast<std::uint64_t>(d.type.element_count());
   }
 
-  void collect_decls(const Stmt& s) {
-    for_each_stmt(s, [&](const Stmt& st) {
-      if (st.kind() != StmtKind::kDecl) return;
-      const auto& d = static_cast<const DeclStmt&>(st);
-      d.sim_slot = slot_for_decl(d.name);
-      if (d.type.space == AddrSpace::kShared)
-        out_->shared_words_bound +=
-            static_cast<std::uint64_t>(d.type.element_count());
-    });
-  }
-
-  void annotate_stmt(const Stmt& s) {
-    for_each_stmt(s, [&](const Stmt& st) {
-      switch (st.kind()) {
-        case StmtKind::kDecl: {
-          const auto& d = static_cast<const DeclStmt&>(st);
-          if (d.init) annotate_expr(*d.init);
-          for (const auto& e : d.init_list) annotate_expr(*e);
-          break;
-        }
-        case StmtKind::kAssign: {
-          const auto& a = static_cast<const AssignStmt&>(st);
-          annotate_expr(*a.lhs);
-          annotate_expr(*a.rhs);
-          break;
-        }
-        case StmtKind::kIf:
-          annotate_expr(*static_cast<const IfStmt&>(st).cond);
-          break;
-        case StmtKind::kFor: {
-          const auto& f = static_cast<const ForStmt&>(st);
-          if (f.cond) annotate_expr(*f.cond);
-          break;
-        }
-        case StmtKind::kWhile:
-          annotate_expr(*static_cast<const WhileStmt&>(st).cond);
-          break;
-        case StmtKind::kExpr:
-          annotate_expr(*static_cast<const ExprStmt&>(st).expr);
-          break;
-        default:
-          break;
+  void bind_stmt(const Stmt& s) {
+    switch (s.kind()) {
+      case StmtKind::kBlock:
+        for (const auto& c : static_cast<const Block&>(s).stmts) bind_stmt(*c);
+        return;
+      case StmtKind::kDecl: {
+        const auto& d = static_cast<const DeclStmt&>(s);
+        declare(d);
+        if (d.init) bind_expr(*d.init);
+        for (const auto& e : d.init_list) bind_expr(*e);
+        return;
       }
-    });
+      case StmtKind::kAssign: {
+        const auto& a = static_cast<const AssignStmt&>(s);
+        bind_expr(*a.lhs);
+        bind_expr(*a.rhs);
+        return;
+      }
+      case StmtKind::kIf: {
+        const auto& i = static_cast<const IfStmt&>(s);
+        bind_expr(*i.cond);
+        bind_stmt(*i.then_body);
+        if (i.else_body) bind_stmt(*i.else_body);
+        return;
+      }
+      case StmtKind::kFor: {
+        const auto& f = static_cast<const ForStmt&>(s);
+        if (f.init) bind_stmt(*f.init);
+        if (f.cond) bind_expr(*f.cond);
+        if (f.inc) bind_stmt(*f.inc);
+        bind_stmt(*f.body);
+        return;
+      }
+      case StmtKind::kWhile: {
+        const auto& w = static_cast<const WhileStmt&>(s);
+        bind_expr(*w.cond);
+        bind_stmt(*w.body);
+        return;
+      }
+      case StmtKind::kExpr:
+        bind_expr(*static_cast<const ExprStmt&>(s).expr);
+        return;
+      case StmtKind::kReturn:
+      case StmtKind::kBreak:
+      case StmtKind::kContinue:
+        return;
+    }
   }
 
-  void annotate_expr(const Expr& e) {
+  void bind_expr(const Expr& e) {
     for_each_expr(e, [&](const Expr& x) {
       switch (x.kind()) {
         case ExprKind::kVarRef: {
@@ -149,8 +170,11 @@ class Binder {
             v.sim_slot = kSlotGeomBase - g;
             return;
           }
-          auto it = by_name_.find(v.name);
-          v.sim_slot = it == by_name_.end() ? kSlotUndeclared : it->second;
+          auto it = current_.find(v.name);
+          if (it != current_.end())
+            v.sim_slot = it->second;
+          else
+            forward_.push_back(&v);
           return;
         }
         case ExprKind::kCall: {
@@ -165,7 +189,12 @@ class Binder {
   }
 
   std::shared_ptr<BoundKernel> out_;
-  std::unordered_map<std::string, std::int32_t> by_name_;
+  /// Name -> the slot its most recent declaration (or parameter) binds.
+  std::unordered_map<std::string, std::int32_t> current_;
+  /// Name -> the slot of its first declaration (forward references).
+  std::unordered_map<std::string, std::int32_t> first_decl_;
+  /// References seen before any declaration of their name.
+  std::vector<const VarRef*> forward_;
 };
 
 std::mutex g_bind_mutex;

@@ -3,12 +3,18 @@
 // The block-lockstep interpreter used to resolve every VarRef through an
 // unordered_map<string, Slot> and every geometry name / builtin callee by
 // string comparison, on every executed statement of every lane of every
-// block. This binder walks the kernel AST once, assigns each distinct
-// variable name an integer slot in a flat frame, classifies geometry
-// names and builtin callees, and stamps the results onto the AST's
-// mutable annotation fields (VarRef::sim_slot, DeclStmt::sim_slot,
-// CallExpr::sim_builtin). The per-thread eval loop then never touches a
-// string or a hash map.
+// block. This binder walks the kernel AST once, assigns every variable
+// an integer slot in a flat frame, classifies geometry names and builtin
+// callees, and stamps the results onto the AST's mutable annotation
+// fields (VarRef::sim_slot, DeclStmt::sim_slot, CallExpr::sim_builtin).
+// The per-thread eval loop then never touches a string or a hash map.
+//
+// Each slot has one static type and is never shared between a kernel
+// parameter and a declaration: a declaration that shadows a parameter,
+// or re-declares a name with a different type, gets a fresh slot, and a
+// reference binds to its name's most recent declaration in pre-order.
+// Re-declarations of one variable with one type (loop bodies) share a
+// slot.
 //
 // Semantics are preserved exactly, including error behaviour: names that
 // never resolve are bound to a sentinel and still throw the original
@@ -94,8 +100,10 @@ constexpr std::int32_t kSlotUnbound = std::numeric_limits<std::int32_t>::min();
 /// Static description of one frame slot.
 struct SlotDecl {
   std::string name;  // for error messages and hazard reports only
-  bool is_param = false;
-  std::size_t param_index = 0;  // into Kernel::params when is_param
+  /// The parameter's type, or the one type every declaration bound to
+  /// this slot shares.
+  ir::Type type;
+  bool is_param = false;  // params occupy slots 0..params.size()-1
 };
 
 /// The result of binding one kernel: the frame layout plus static size

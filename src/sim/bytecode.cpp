@@ -1,9 +1,9 @@
 // Lowering from the slot-bound kernel AST to the flat bytecode the VM
-// executes (sim/vm.cpp). The pass mirrors the AST walker's evaluation
-// order instruction-for-instruction: every charge, watchdog step, mask
-// operation and error site is emitted at the exact point the recursive
-// walk would reach it, so the two engines are bit-identical by
-// construction. See sim/bytecode.hpp for the instruction set.
+// executes (sim/vm.cpp). The emitted order is the simulator's evaluation
+// order: statements in sequence, operands left to right before their
+// operator, every charge, watchdog step, mask operation and error site at
+// the point execution reaches it. See sim/bytecode.hpp for the
+// instruction set.
 
 #include "sim/bytecode.hpp"
 
@@ -21,35 +21,12 @@ using namespace cudanp::ir;
 
 namespace {
 
-/// Thrown to abandon lowering; lower() turns it into a null program and
-/// the launch transparently runs the AST engine instead.
-struct Decline {};
-
-/// Static classification of one frame slot, folded from the parameter
-/// list and every declaration binding to it.
-struct SlotInfo {
-  enum class Kind : std::uint8_t { kNone, kBufferParam, kUniformParam, kDecl };
-  Kind kind = Kind::kNone;
-  Type type;  // meaningful for kDecl
-};
-
 class Lowerer {
  public:
   explicit Lowerer(const BoundKernel& bound) : bound_(bound) {}
 
   std::shared_ptr<const Program> run() {
-    const Kernel& k = *bound_.kernel;
-    nparams_ = k.params.size();
-    info_.resize(bound_.num_slots());
-    for (std::size_t i = 0; i < bound_.slots.size(); ++i) {
-      if (!bound_.slots[i].is_param) continue;
-      const Param& p = k.params[bound_.slots[i].param_index];
-      info_[i].kind = p.type.is_pointer ? SlotInfo::Kind::kBufferParam
-                                        : SlotInfo::Kind::kUniformParam;
-      info_[i].type = p.type;
-    }
-    scan(*k.body);
-    lower_block(*k.body);
+    lower_block(*bound_.kernel->body);
     emit(Op::kHalt);
     prog_.num_regs = max_regs_;
     prog_.max_mask_depth = max_depth_;
@@ -58,57 +35,13 @@ class Lowerer {
   }
 
  private:
-  // ---------------- static slot typing ----------------
-  /// Collects every declaration and folds its type into the slot table;
-  /// declines shapes whose static typing is ambiguous (param-shadowing
-  /// slots, conflicting per-slot types, shared scalars) or that the AST
-  /// only diagnoses dynamically.
-  void scan(const Stmt& s) {
-    switch (s.kind()) {
-      case StmtKind::kBlock:
-        for (const auto& c : static_cast<const Block&>(s).stmts) scan(*c);
-        return;
-      case StmtKind::kDecl: {
-        const auto& d = static_cast<const DeclStmt&>(s);
-        if (d.sim_slot < 0) throw Decline{};
-        if (static_cast<std::size_t>(d.sim_slot) < nparams_) throw Decline{};
-        if (d.type.space == AddrSpace::kShared && !d.type.is_array())
-          throw Decline{};
-        SlotInfo& si = info_[static_cast<std::size_t>(d.sim_slot)];
-        if (si.kind == SlotInfo::Kind::kDecl && !(si.type == d.type))
-          throw Decline{};
-        si.kind = SlotInfo::Kind::kDecl;
-        si.type = d.type;
-        prog_.decls.push_back(&d);
-        decl_index_.emplace(&d, static_cast<std::int64_t>(prog_.decls.size()) -
-                                    1);
-        return;
-      }
-      case StmtKind::kIf: {
-        const auto& i = static_cast<const IfStmt&>(s);
-        scan(*i.then_body);
-        if (i.else_body) scan(*i.else_body);
-        return;
-      }
-      case StmtKind::kFor: {
-        const auto& f = static_cast<const ForStmt&>(s);
-        if (f.init) scan(*f.init);
-        scan(*f.body);
-        if (f.inc) scan(*f.inc);
-        return;
-      }
-      case StmtKind::kWhile:
-        scan(*static_cast<const WhileStmt&>(s).body);
-        return;
-      default:
-        return;
-    }
-  }
-
-  [[nodiscard]] const SlotInfo* info(std::int32_t slot) const {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= info_.size())
+  /// The binder's description of `slot`: a parameter, or a declared
+  /// variable with its one static type. Null for geometry, undeclared
+  /// and unbound references.
+  [[nodiscard]] const SlotDecl* info(std::int32_t slot) const {
+    if (slot < 0 || static_cast<std::size_t>(slot) >= bound_.slots.size())
       return nullptr;
-    return &info_[static_cast<std::size_t>(slot)];
+    return &bound_.slots[static_cast<std::size_t>(slot)];
   }
 
   // ---------------- emission ----------------
@@ -127,7 +60,7 @@ class Lowerer {
     in.loc = loc;
     return emit(std::move(in));
   }
-  /// Precomposed SimError, positioned where the AST walk would throw.
+  /// Precomposed SimError, raised where execution reaches it.
   void emit_trap(std::string msg) {
     Instr in;
     in.op = Op::kTrap;
@@ -159,8 +92,7 @@ class Lowerer {
 
   // ---------------- statements ----------------
   /// Every statement is preceded by a kGuard that clears returned lanes
-  /// and skips the rest of the block when the mask empties — the
-  /// exec_block loop of the AST walker.
+  /// and skips the rest of the block when the mask empties.
   void lower_block(const Block& b) {
     std::vector<std::size_t> guards;
     guards.reserve(b.stmts.size());
@@ -216,7 +148,12 @@ class Lowerer {
 
   void lower_decl(const DeclStmt& d) {
     emit(Op::kLeafBegin);
-    const std::int64_t didx = decl_index_.at(&d);
+    if (d.type.space == AddrSpace::kShared && !d.type.is_array()) {
+      emit_trap(ops::shared_scalar_error(d.name) + " at " + d.loc().str());
+      return;
+    }
+    const auto didx = static_cast<std::int64_t>(prog_.decls.size());
+    prog_.decls.push_back(&d);
     {
       Instr in;
       in.op = Op::kDeclare;
@@ -271,8 +208,8 @@ class Lowerer {
   void lower_assign(const AssignStmt& a) {
     Operand rhs = lower_expr(*a.rhs);
     if (a.op != AssignOp::kAssign) {
-      // Compound assignment reads the target first (full re-evaluation,
-      // charges included, exactly like the AST's double eval).
+      // Compound assignment re-evaluates the target as a load first
+      // (charges included), then combines.
       Operand old = lower_expr(*a.lhs);
       BinOp op = a.op == AssignOp::kAdd   ? BinOp::kAdd
                  : a.op == AssignOp::kSub ? BinOp::kSub
@@ -408,7 +345,7 @@ class Lowerer {
       check = emit(std::move(in));
     }
     lower_block(*wl.body);
-    // The AST's while latch clears returned lanes and loops back to the
+    // The while latch clears returned lanes and loops back to the
     // condition unconditionally (one extra back-edge on a possibly-empty
     // mask); kLoopCheck exits there.
     emit(Op::kClearReturned);
@@ -508,10 +445,10 @@ class Lowerer {
   Operand lower_varref(const VarRef& v) {
     if (slot_is_geometry(v.sim_slot))
       return Operand::geom(slot_geometry_code(v.sim_slot));
-    const SlotInfo* si = info(v.sim_slot);
-    // Uniform kernel arguments carry no liveness or shadow state, so the
-    // AST's var_read_check has no observable effect on them: pure view.
-    if (si && si->kind == SlotInfo::Kind::kUniformParam)
+    const SlotDecl* si = info(v.sim_slot);
+    // Uniform kernel arguments carry no liveness or shadow state, so
+    // var_read_check has no observable effect on them: pure view.
+    if (si && si->is_param && !si->type.is_pointer)
       return Operand::uniform(v.sim_slot);
     {
       Instr in;
@@ -521,7 +458,7 @@ class Lowerer {
       in.loc = v.loc();
       emit(std::move(in));
     }
-    if (si && si->kind == SlotInfo::Kind::kDecl && si->type.is_scalar())
+    if (si && !si->is_param && si->type.is_scalar())
       return Operand::slot_data(v.sim_slot);
     // Arrays, buffer params and undeclared names make kVarGuard throw;
     // the operand is unreachable.
@@ -537,14 +474,14 @@ class Lowerer {
     }
     const auto& base = static_cast<const VarRef&>(*ai.base);
     const std::string& name = base.name;
-    const SlotInfo* si = info(base.sim_slot);
-    if (!si || si->kind == SlotInfo::Kind::kNone) {
-      // Never declared (or geometry/unbound): slot_at raises the same
-      // "use of undeclared variable" / internal error the AST would.
+    const SlotDecl* si = info(base.sim_slot);
+    if (!si) {
+      // Never declared (or geometry/unbound): slot_at raises the
+      // "use of undeclared variable" / internal error.
       emit_check_live(base.sim_slot, name, ai.loc());
       return Operand::immediate(Value::of_int(0));
     }
-    if (si->kind == SlotInfo::Kind::kBufferParam) {
+    if (si->is_param && si->type.is_pointer) {
       if (ai.indices.size() != 1) {
         emit_trap("pointer '" + name + "' requires exactly one index");
         return Operand::immediate(Value::of_int(0));
@@ -566,10 +503,10 @@ class Lowerer {
       emit(std::move(in));
       return r;
     }
-    // Declared slots may not be live yet on this path; reproduce the
-    // AST's slot_at-first ordering before any static trap or index eval.
+    // Declared slots may not be live yet on this path; the liveness
+    // check comes before any static trap or index eval.
     emit_check_live(base.sim_slot, name, ai.loc());
-    if (si->kind == SlotInfo::Kind::kUniformParam || !si->type.is_array()) {
+    if (!si->type.is_array()) {
       emit_trap("'" + name + "' is not an array at " + ai.loc().str());
       return Operand::immediate(Value::of_int(0));
     }
@@ -708,9 +645,6 @@ class Lowerer {
 
   const BoundKernel& bound_;
   Program prog_;
-  std::vector<SlotInfo> info_;
-  std::size_t nparams_ = 0;
-  std::unordered_map<const DeclStmt*, std::int64_t> decl_index_;
   std::unordered_map<std::string, std::int32_t> name_ids_;
   std::int32_t next_reg_ = 0;
   std::int32_t max_regs_ = 0;
@@ -723,12 +657,7 @@ class Lowerer {
 }  // namespace
 
 std::shared_ptr<const Program> lower(const BoundKernel& bound) {
-  try {
-    Lowerer lw(bound);
-    return lw.run();
-  } catch (const Decline&) {
-    return nullptr;
-  }
+  return Lowerer(bound).run();
 }
 
 }  // namespace cudanp::sim::bytecode

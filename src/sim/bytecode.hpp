@@ -2,27 +2,21 @@
 //
 // The lowering pass walks the bound AST once per launch and emits a flat
 // instruction stream with virtual registers and resolved jump targets;
-// sim/vm.cpp executes it with a dispatch loop over SoA lane state. Every
-// instruction maps 1:1 onto the exec::BlockCore helper the AST walker
-// calls at the same point, in the same order, so charges, watchdog steps,
-// hazard reports and error messages are bit-identical by construction;
-// operator results come from the scalar semantics every evaluator shares
-// (sim/ops.hpp).
+// sim/vm.cpp executes it with a dispatch loop over SoA lane state. The
+// bytecode is the simulator's one executable form of a kernel: its
+// instruction order defines the order of charges, watchdog steps, hazard
+// reports and errors, and each instruction runs through one
+// exec::BlockCore helper. Operator results come from the scalar
+// semantics the symbolic executor shares (sim/ops.hpp).
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
 // are read in place at use, so straight-line arithmetic never copies a
-// lane vector. Structural errors the AST raises while walking (unknown
-// callee, wrong arity, non-array indexing, break/continue) lower to
-// kTrap instructions carrying the precomposed message, positioned where
-// the AST would throw.
-//
-// lower() declines — returns null, and the launch transparently runs the
-// AST engine — for the rare shapes whose static slot typing is
-// ambiguous: a declaration shadowing a kernel parameter's slot, two
-// declarations disagreeing on one slot's type, or a shared-memory scalar
-// declaration (unsupported by both engines, but only diagnosed
-// dynamically by the AST walk).
+// lane vector. Lowering is total. Constructs the simulator rejects
+// (unknown callee, wrong arity, non-array indexing, break/continue, a
+// `__shared__` scalar) lower to kTrap instructions carrying the
+// precomposed SimError message, positioned where execution reaches the
+// construct, so the fault fires only if that code runs.
 //
 // Implementation detail of sim/; include only from the interpreter, the
 // VM and their tests.
@@ -145,9 +139,7 @@ struct Program {
   int max_loop_depth = 0;
 };
 
-/// Lowers a bound kernel to bytecode, or returns null when a construct's
-/// static slot typing is ambiguous (the caller falls back to the AST
-/// engine for the whole launch).
+/// Lowers a bound kernel to bytecode. Never returns null.
 [[nodiscard]] std::shared_ptr<const Program> lower(const BoundKernel& bound);
 
 }  // namespace cudanp::sim::bytecode

@@ -370,15 +370,15 @@ void BlockCore::flatten_dim(Value* flat, LaneView idx, std::int64_t dim,
 
 // ---------------- scalar variable paths ----------------
 
-Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
-                                const Mask& mask, SourceLoc loc) {
+void BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
+                               const Mask& mask, SourceLoc loc) {
   Slot& slot = slot_at(slot_id, name, loc);
   if (slot.is_buffer_param)
     throw SimError("pointer '" + name +
                    "' used as a value (only indexing is supported)");
   if (slot.type.is_array())
     throw SimError("array '" + name + "' used without an index");
-  if (slot.is_uniform_param) return slot;
+  if (slot.is_uniform_param) return;
   if (san_ && shfl_arg_depth_ == 0 && !slot.shadow.empty()) {
     for (int l = 0; l < nlanes_; ++l) {
       if (!mask[static_cast<std::size_t>(l)]) continue;
@@ -389,7 +389,6 @@ Slot& BlockCore::var_read_check(std::int32_t slot_id, const std::string& name,
       }
     }
   }
-  return slot;
 }
 
 void BlockCore::store_var(std::int32_t slot_id, const std::string& name,
@@ -733,34 +732,32 @@ Slot& BlockCore::slot_at(std::int32_t s, const std::string& name,
   throw SimError("use of undeclared variable '" + name + "' at " + loc.str());
 }
 
-Slot& BlockCore::declare(const DeclStmt& d) {
+void BlockCore::declare(const DeclStmt& d) {
   if (d.sim_slot < 0)
     throw SimError("internal: unbound declaration of '" + d.name +
                    "' (kernel AST modified after slot binding)");
+  // The binder gives every declaration a non-parameter slot of its own
+  // type, so a live slot is a re-declaration (a loop body) and keeps its
+  // storage.
   Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
-  // A declaration shadowing a kernel parameter (same name, same slot)
-  // replaces it with a fresh variable from here on.
-  if (slot.is_uniform_param || slot.is_buffer_param) slot = Slot{};
-  if (!slot.live) {
-    slot.type = d.type;
-    if (d.type.space == AddrSpace::kShared) {
-      slot.data.assign(static_cast<std::size_t>(d.type.element_count()),
-                       Value{});
-      slot.base_word = smem_word_cursor_;
-      smem_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
-    } else if (d.type.is_array()) {  // local / register / constant array
-      slot.data.assign(
-          static_cast<std::size_t>(d.type.element_count() * nlanes_), Value{});
-      slot.base_word = local_word_cursor_;
-      local_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
-    } else {  // register scalar
-      slot.data.assign(static_cast<std::size_t>(nlanes_), Value{});
-    }
-    if (san_ && d.type.space != AddrSpace::kShared)
-      slot.shadow.assign(slot.data.size(), 0);
-    slot.live = true;
+  if (slot.live) return;
+  slot.type = d.type;
+  if (d.type.space == AddrSpace::kShared) {
+    slot.data.assign(static_cast<std::size_t>(d.type.element_count()),
+                     Value{});
+    slot.base_word = smem_word_cursor_;
+    smem_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
+  } else if (d.type.is_array()) {  // local / register / constant array
+    slot.data.assign(
+        static_cast<std::size_t>(d.type.element_count() * nlanes_), Value{});
+    slot.base_word = local_word_cursor_;
+    local_word_cursor_ += static_cast<std::uint64_t>(d.type.element_count());
+  } else {  // register scalar
+    slot.data.assign(static_cast<std::size_t>(nlanes_), Value{});
   }
-  return slot;
+  if (san_ && d.type.space != AddrSpace::kShared)
+    slot.shadow.assign(slot.data.size(), 0);
+  slot.live = true;
 }
 
 void BlockCore::binop_fail(const char* text, SourceLoc loc) {

@@ -1,14 +1,10 @@
-// Shared per-block execution core for the two kernel engines.
+// Per-block execution core of the bytecode VM.
 //
-// BlockCore owns everything the engines need to behave bit-identically:
-// the slot frame, geometry lane caches, per-warp cost charging, the
-// watchdog step counter, the sanitizer hooks and every memory-access /
-// operator execution path. The AST walker (sim/interpreter.cpp) and the
-// bytecode VM (sim/vm.cpp) both derive from it, so every charge, hazard
-// report and error message is produced by exactly one piece of code no
-// matter which engine runs — the engine-equivalence contract
-// (docs/performance.md) is enforced by construction, not by parallel
-// maintenance.
+// BlockCore owns the per-block state and every semantic helper the VM's
+// instructions call: the slot frame, geometry lane caches, per-warp cost
+// charging, the watchdog step counter, the sanitizer hooks and every
+// memory-access / operator execution path. The VM (sim/vm.cpp) derives
+// from it and contributes only dispatch, registers and the mask stack.
 //
 // This header is an implementation detail of sim/; nothing outside the
 // interpreter, the lowering pass and the VM should include it.
@@ -80,9 +76,8 @@ struct BlockSanitizer {
 };
 
 /// Per-lane value source: a full lane vector or one broadcast value.
-/// The AST engine passes materialized Lanes; the VM passes registers,
-/// geometry vectors, live slot storage, or folded immediates without
-/// copying.
+/// The VM passes registers, geometry vectors, live slot storage, or
+/// folded immediates without copying.
 struct LaneView {
   const Value* vec = nullptr;
   Value splat{};
@@ -142,8 +137,8 @@ class BlockCore {
           warp_pending_[static_cast<std::size_t>(w)];
   }
 
-  /// Folds the per-warp counters into the block's KernelStats; the run()
-  /// epilogue shared by both engines.
+  /// Folds the per-warp counters into the block's KernelStats at the end
+  /// of a block run.
   [[nodiscard]] KernelStats collect_stats() const;
 
   // ---------------- watchdog ----------------
@@ -185,17 +180,17 @@ class BlockCore {
   /// One dimension of a (possibly multi-dim) index flatten: bounds-checks
   /// active lanes against `dim` and accumulates flat = flat * dim + i
   /// (`first` resets instead). The per-dim ALU charge for d > 0 is the
-  /// caller's, matching the AST order (charge, then check).
+  /// caller's, emitted before this check.
   void flatten_dim(Value* flat, LaneView idx, std::int64_t dim, bool first,
                    const Mask& mask, SourceLoc loc);
 
   // ---------------- scalar variable paths ----------------
-  /// Everything eval of a scalar VarRef does except materializing values:
-  /// liveness / pointer-as-value / array-without-index errors and the
-  /// sanitizer's uninit-read check. Returns the live slot so the caller
-  /// can read `data` in place (AST copies; VM aliases).
-  Slot& var_read_check(std::int32_t slot_id, const std::string& name,
-                       const Mask& mask, SourceLoc loc);
+  /// Everything a scalar variable read does except producing values
+  /// (the VM reads the slot's `data` in place): liveness /
+  /// pointer-as-value / array-without-index errors and the sanitizer's
+  /// uninit-read check.
+  void var_read_check(std::int32_t slot_id, const std::string& name,
+                      const Mask& mask, SourceLoc loc);
   /// Scalar variable assignment target: slot_at + assignability errors +
   /// ALU charge + masked coerced store with shadow marking.
   void store_var(std::int32_t slot_id, const std::string& name,
@@ -215,7 +210,7 @@ class BlockCore {
   void do_binop(ir::BinOp op, LaneView a, LaneView b, const Mask& mask,
                 Value* out, SourceLoc loc);
   /// Compound-assignment combine: fixed ALU charge (never the div/mod
-  /// weights) + apply, matching the AST's exec_assign.
+  /// weights) + apply.
   void do_compound(ir::BinOp op, LaneView oldv, LaneView rhs,
                    const Mask& mask, Value* out, SourceLoc loc);
   void do_unop(ir::UnOp op, LaneView a, const Mask& mask, Value* out);
@@ -286,7 +281,7 @@ class BlockCore {
   Slot& slot_at(std::int32_t s, const std::string& name, SourceLoc loc);
 
   /// Declares (or re-declares, for loop bodies) a variable.
-  Slot& declare(const ir::DeclStmt& d);
+  void declare(const ir::DeclStmt& d);
 
   [[nodiscard]] std::size_t first_active(const Mask& mask) const {
     for (int l = 0; l < nlanes_; ++l)
@@ -301,7 +296,7 @@ class BlockCore {
 
   /// Lane loop for one operator with the op as a compile-time constant,
   /// so the inlined apply_binop collapses to a single case — operator
-  /// execution is the hottest path in both engines and must not pay a
+  /// execution is the hottest path in the VM and must not pay a
   /// 19-way switch per lane.
   template <ir::BinOp kOp>
   void binop_lanes(LaneView a, LaneView b, const Mask& mask, Value* out,

@@ -9,20 +9,18 @@
 // correct for every race-free kernel that synchronizes through
 // __syncthreads() (all paper benchmarks, and everything CUDA-NP emits).
 //
-// Engines
-// -------
-// Two engines implement this model over the same per-block core
-// (sim/exec_core.hpp), and every operator through the same scalar
-// semantics (sim/ops.hpp, shared with the symbolic executor), so their
-// outputs, cost-model stats, watchdog step counts and sanitizer hazard
-// streams are bit-identical:
-//   - kAst: the original recursive AST walk (reference engine);
-//   - kVm:  bound kernels are lowered once per launch into a flat
-//           register bytecode (sim/bytecode.hpp) executed by a dispatch
-//           loop over SoA lane state (sim/vm.cpp) — the fast path.
-// Select with Options::engine; the default is the VM, with a transparent
-// per-launch fallback to the AST walk for constructs the lowering
-// declines.
+// Executable form
+// ---------------
+// Each launch binds the kernel's names to frame slots once
+// (sim/binder.hpp), lowers the bound kernel to a flat register bytecode
+// (sim/bytecode.hpp) and runs every block of the grid on the VM
+// (sim/vm.cpp), a dispatch loop over SoA lane state. The bytecode is the
+// simulator's definition of a kernel: every kernel lowers, and
+// constructs the simulator rejects lower to traps that raise their
+// SimError where execution reaches them. Per-block state, charging,
+// sanitizer hooks and memory paths live in exec::BlockCore
+// (sim/exec_core.hpp); operator results come from the scalar semantics
+// the symbolic executor shares (sim/ops.hpp).
 //
 // Cost model hooks
 // ----------------
@@ -76,10 +74,12 @@ class WatchdogError : public SimError {
   std::int64_t steps_;
 };
 
-/// Which executor runs the blocks of a launch.
+/// The executor that runs the blocks of a launch. The bytecode VM is the
+/// only one; the enum (and Interpreter::Options::engine) is kept for
+/// source compatibility with perfbench/src/paper_sim.cpp, which sets it
+/// explicitly, and nothing reads it.
 enum class Engine : std::uint8_t {
-  kAst,  ///< Recursive AST walk (reference engine).
-  kVm,   ///< Bytecode VM (fast path; per-launch AST fallback).
+  kVm,  ///< Bytecode VM.
 };
 
 /// Cost-model knobs: how executed operations turn into cycles. Purely
@@ -128,7 +128,7 @@ class Interpreter {
     TimingOptions timing;
     /// Watchdog / loop / deadline bounds.
     ExecutionLimits limits;
-    /// Which engine executes blocks.
+    /// Single-valued and unread; see Engine.
     Engine engine = Engine::kVm;
     /// When non-null, chaos-testing hooks fire during interpretation:
     /// injected SimErrors at the Nth statement and block stalls that the
@@ -151,6 +151,10 @@ class Interpreter {
       : spec_(spec), mem_(mem), opt_(opt) {}
   Interpreter(const DeviceSpec& spec, DeviceMemory& mem)
       : Interpreter(spec, mem, Options()) {}
+  /// The interpreter keeps a reference to the spec, so a temporary would
+  /// dangle; refuse it at compile time.
+  Interpreter(DeviceSpec&&, DeviceMemory&, Options) = delete;
+  Interpreter(DeviceSpec&&, DeviceMemory&) = delete;
 
   /// Executes `kernel` over the whole grid and returns aggregate stats.
   /// `resident_blocks_per_smx` (from the occupancy calculator) sizes the

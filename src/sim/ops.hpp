@@ -1,9 +1,9 @@
 // Scalar operator semantics shared by every evaluator of the kernel IR.
 //
-// The AST walker and the bytecode VM (through exec::BlockCore) and the
-// symbolic executor's constant folding and SymEvaluator (sim/symexec.cpp)
-// all compute operators through this header, so a fully concrete symbolic
-// run is bit-identical to a simulated one by construction. Floats round
+// The bytecode VM (through exec::BlockCore) and the symbolic executor's
+// constant folding and SymEvaluator (sim/symexec.cpp) all compute
+// operators through this header, so a fully concrete symbolic run is
+// bit-identical to a simulated one by construction. Floats round
 // through f32 after every operation; ints are exact int64.
 //
 // Faults are reported through a caller-supplied callable `fail(text)`
@@ -216,6 +216,13 @@ static_assert(std::size(kMathOps) == static_cast<std::size_t>(
                                              const MathOp& m) {
   return callee +
          (m.arity == 1 ? " expects 1 argument" : " expects 2 arguments");
+}
+
+/// The fault text for a non-array `__shared__` declaration, which no
+/// evaluator supports (callers append the location).
+[[nodiscard]] inline std::string shared_scalar_error(const std::string& name) {
+  return "__shared__ scalar '" + name +
+         "' is not supported; declare it as a one-element array";
 }
 
 /// Applies a math builtin; unary builtins take the default `y`.

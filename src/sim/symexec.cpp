@@ -1204,6 +1204,8 @@ class Exec {
     if (d.sim_slot < 0)
       throw Abort{"internal: unbound declaration of '" + d.name +
                   "' (kernel AST modified after slot binding)"};
+    if (d.type.space == ir::AddrSpace::kShared && !d.type.is_array())
+      throw Abort{ops::shared_scalar_error(d.name), true};
     Var v;
     v.type = d.type;
     v.live = true;

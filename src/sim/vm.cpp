@@ -120,7 +120,7 @@ class VmExec : public exec::BlockCore {
         case Op::kTrap:
           throw SimError(name_at(ins.name));
         case Op::kVarGuard:
-          (void)var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
+          var_read_check(ins.slot, name_at(ins.name), cur(), ins.loc);
           break;
         case Op::kRequireLive:
           (void)slot_at(ins.slot, name_at(ins.name), ins.loc);
@@ -129,7 +129,7 @@ class VmExec : public exec::BlockCore {
           store_var(ins.slot, name_at(ins.name), cur(), src(ins.a), ins.loc);
           break;
         case Op::kDeclare:
-          (void)declare(*prog_.decls[static_cast<std::size_t>(ins.imm)]);
+          declare(*prog_.decls[static_cast<std::size_t>(ins.imm)]);
           break;
         case Op::kDeclInit: {
           const ir::DeclStmt& d =

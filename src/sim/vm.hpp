@@ -1,11 +1,11 @@
-// Bytecode VM: the fast kernel engine.
+// Bytecode VM: the simulator's kernel executor.
 //
 // Executes the flat instruction stream produced by sim/bytecode.cpp with
 // a dispatch loop over SoA lane state — virtual registers are contiguous
 // per-lane vectors, masks live on a preallocated stack sized by the
 // lowering — so a launch pays no per-node heap allocation and no
-// recursion. All semantics (charges, watchdog, sanitizer, errors) come
-// from exec::BlockCore, shared with the AST walker.
+// recursion. Charges, watchdog, sanitizer and memory paths come from
+// exec::BlockCore.
 //
 // Implementation detail of sim/; include only from the interpreter and
 // tests.
@@ -22,9 +22,8 @@
 
 namespace cudanp::sim::vm {
 
-/// Runs one block of a launch over the lowered program. Equivalent to
-/// constructing the AST walker on the same BlockCore arguments and
-/// running it — same stats, same hazard stream, same errors.
+/// Runs one block of a launch over the lowered program and returns its
+/// stats; hazards go to `san` (when non-null), failures throw SimError.
 [[nodiscard]] KernelStats run_block(const bytecode::Program& program,
                                     const DeviceSpec& spec, DeviceMemory& mem,
                                     const Interpreter::Options& opt,

@@ -326,7 +326,8 @@ TEST_P(InterpreterFuzz, MatchesReferenceEvaluator) {
   cfg.grid = {1, 1, 1};
   cfg.block = {1, 1, 1};
   cfg.args = {out};
-  sim::Interpreter interp(sim::DeviceSpec::gtx680(), mem);
+  const sim::DeviceSpec spec = sim::DeviceSpec::gtx680();
+  sim::Interpreter interp(spec, mem);
   (void)interp.run(*kernel, cfg);
 
   for (int v = 0; v < nvars; ++v) {
@@ -436,7 +437,8 @@ TEST_P(SanitizedFuzz, HazardousKernelsNeverEscapeTheSanitizer) {
 
   sim::Interpreter::Options iopt;
   iopt.sanitizer = &engine;
-  sim::Interpreter interp(sim::DeviceSpec::gtx680(), mem, iopt);
+  const sim::DeviceSpec spec = sim::DeviceSpec::gtx680();
+  sim::Interpreter interp(spec, mem, iopt);
   EXPECT_NO_THROW((void)interp.run(kernel, cfg)) << src;
   EXPECT_LE(engine.reports().size(), sopt.error_limit) << src;
   // The same kernel without a sanitizer must at worst throw SimError —
@@ -444,7 +446,7 @@ TEST_P(SanitizedFuzz, HazardousKernelsNeverEscapeTheSanitizer) {
   sim::DeviceMemory mem2;
   cfg.args = {mem2.alloc(ScalarType::kFloat, 64),
               sim::LaunchConfig::scalar_int(64)};
-  sim::Interpreter plain(sim::DeviceSpec::gtx680(), mem2);
+  sim::Interpreter plain(spec, mem2);
   try {
     (void)plain.run(kernel, cfg);
   } catch (const SimError&) {
@@ -511,7 +513,8 @@ TEST_P(WatchdogFuzz, LoopNestsNeverOutliveTheBudget) {
   sim::Interpreter::Options iopt;
   iopt.sanitizer = &engine;
   iopt.limits.max_steps_per_block = 10000;
-  sim::Interpreter interp(sim::DeviceSpec::gtx680(), mem, iopt);
+  const sim::DeviceSpec spec = sim::DeviceSpec::gtx680();
+  sim::Interpreter interp(spec, mem, iopt);
   EXPECT_NO_THROW((void)interp.run(kernel, cfg)) << src;
   bool tripped = false;
   for (const auto& r : engine.reports())
@@ -524,7 +527,7 @@ TEST_P(WatchdogFuzz, LoopNestsNeverOutliveTheBudget) {
               sim::LaunchConfig::scalar_int(64)};
   sim::Interpreter::Options popt;
   popt.limits.max_steps_per_block = 10000;
-  sim::Interpreter plain(sim::DeviceSpec::gtx680(), mem2, popt);
+  sim::Interpreter plain(spec, mem2, popt);
   try {
     (void)plain.run(kernel, cfg);
     EXPECT_FALSE(tripped) << "sanitized run tripped but plain run finished:\n"

@@ -24,7 +24,8 @@ std::vector<std::int32_t> run_i32(const Kernel& k, Dim3 grid, Dim3 block,
   cfg.grid = grid;
   cfg.block = block;
   cfg.args = {out};
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(k, cfg);
   auto s = mem.buffer(out).i32();
   return {s.begin(), s.end()};

@@ -65,7 +65,8 @@ TEST_P(ScanTransform, PrefixSumsMatchSequentialSemantics) {
   launch.grid = {1, 1, 1};
   launch.block = variant.block_dims;
   launch.args = {A, Out, Fin};
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(*variant.kernel, launch);
 
   auto a = mem.buffer(A).f32();
@@ -161,7 +162,8 @@ __global__ void k(float* a, float* out) {
   launch.grid = {1, 1, 1};
   launch.block = variant.block_dims;
   launch.args = {A, Out};
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(*variant.kernel, launch);
   auto a = mem.buffer(A).f32();
   auto out = mem.buffer(Out).f32();

@@ -24,8 +24,10 @@
 #include "np/heuristic.hpp"
 #include "np/runner.hpp"
 #include "sim/fault.hpp"
+#include "sim/ops.hpp"
 #include "sim/symexec.hpp"
 #include "cert_fuzz_kernels.hpp"
+#include "divergent_fuzz_kernels.hpp"
 
 namespace cudanp {
 namespace {
@@ -57,7 +59,6 @@ bool expect_concrete_equal(const ir::Kernel& kernel,
   np::seed_certify_floats(w, kSeed);
   auto request = variant ? np::ExecutionRequest::transformed(*variant, w)
                          : np::ExecutionRequest::baseline(kernel, w);
-  request.with_engine(sim::Engine::kVm);
   std::string vm_error;
   try {
     (void)runner.execute(request);
@@ -183,6 +184,29 @@ TEST(FuzzConcrete, CertFuzzCorpusMatchesVm) {
 }
 
 // ---------------------------------------------------------------------
+// The divergent-control-flow corpus: per-lane ifs, lane-dependent loop
+// trip counts and a shared-memory stage behind a barrier.
+
+TEST(FuzzConcrete, DivergentControlFlowMatchesVm) {
+  for (std::uint64_t seed = 1; seed <= divergent_fuzz::kSeeds; ++seed) {
+    std::string src = divergent_fuzz::fuzz_source(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + src);
+    auto prog = frontend::parse_program_or_throw(src);
+    const ir::Kernel& kernel = *prog->kernels.front();
+    auto make = [] {
+      np::Workload w;
+      w.launch.args.push_back(w.mem->alloc(ir::ScalarType::kFloat, 4096));
+      w.launch.args.push_back(sim::LaunchConfig::scalar_int(64));
+      w.launch.block = {32, 1, 1};
+      w.launch.grid = {2, 1, 1};
+      return w;
+    };
+    EXPECT_TRUE(expect_concrete_equal(kernel, nullptr, make))
+        << "symbolic run bailed out";
+  }
+}
+
+// ---------------------------------------------------------------------
 // Name-binding corner cases.
 
 TEST(BinderConcrete, DeclarationShadowingAParameter) {
@@ -193,6 +217,71 @@ __global__ void k(float* a, float* c, int n) {
   c[tx] = a[tx] * n;
 }
 )");
+}
+
+/// A name re-declared with another type is a new variable: the float
+/// `t` must not inherit the int slot of the earlier `t`.
+TEST(BinderConcrete, RedeclarationWithADifferentType) {
+  const std::string src = R"(
+__global__ void k(float* a, float* c, int n) {
+  int tx = threadIdx.x + blockIdx.x * blockDim.x;
+  { int t = 1; c[tx + n] = t + a[tx]; }
+  { float t = 0.5f; t = t * 3.0f; c[tx] = t + 1.0f; }
+}
+)";
+  expect_source_concrete_equal(src);
+  auto prog = frontend::parse_program_or_throw(src);
+  const ir::Kernel& kernel = *prog->find_kernel("k");
+  np::Workload w = np::make_synthetic_workload(kernel, 8, 8);
+  np::Runner runner(sim::DeviceSpec::gtx680());
+  (void)runner.execute(np::ExecutionRequest::baseline(kernel, w));
+  const auto c = w.mem->buffer(std::get<sim::BufferId>(w.launch.args[1])).f32();
+  for (int tx = 0; tx < 8; ++tx) EXPECT_EQ(c[tx], 2.5f) << "tx " << tx;
+}
+
+/// `__shared__` scalars are rejected the same way by the VM (a SimError
+/// where the declaration executes, a kSimFault when sanitized) and by the
+/// symbolic executor (a deterministic fault with the same text).
+TEST(BinderConcrete, SharedScalarFaultsAlike) {
+  const std::string src = R"(
+__global__ void k(float* a, float* c, int n) {
+  __shared__ float s;
+  int tx = threadIdx.x + blockIdx.x * blockDim.x;
+  s = a[tx];
+  c[tx] = a[tx] + s;
+}
+)";
+  const std::string reason = sim::ops::shared_scalar_error("s");
+  auto prog = frontend::parse_program_or_throw(src);
+  const ir::Kernel& kernel = *prog->find_kernel("k");
+  auto make = [&] { return np::make_synthetic_workload(kernel, 8, 8); };
+
+  np::Workload probe = make();
+  sim::SymArena arena;
+  const sim::SymExecResult sym =
+      sim::sym_execute(kernel, probe.launch.grid, probe.launch.block,
+                       np::sym_args_for(probe), arena);
+  EXPECT_FALSE(sym.ok);
+  EXPECT_TRUE(sym.fault);
+  EXPECT_EQ(sym.reason, reason);
+
+  np::Runner runner(sim::DeviceSpec::gtx680());
+  np::Workload w = make();
+  try {
+    (void)runner.execute(np::ExecutionRequest::baseline(kernel, w));
+    ADD_FAILURE() << "VM did not fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(reason + " at 3:", 0), 0u)
+        << e.what();
+  }
+
+  np::Workload ws = make();
+  auto run =
+      runner.execute(np::ExecutionRequest::baseline(kernel, ws).sanitized());
+  ASSERT_EQ(run.hazards().size(), 1u) << run.engine.summary();
+  EXPECT_EQ(run.hazards()[0].kind, sim::HazardKind::kSimFault);
+  EXPECT_EQ(run.hazards()[0].message.rfind(reason + " at 3:", 0), 0u)
+      << run.hazards()[0].message;
 }
 
 TEST(BinderConcrete, NameRedeclaredInALoopBody) {

@@ -187,7 +187,8 @@ __global__ void k(float* a, float* c, int n) {
   cfg.grid = {1, 1, 1};
   cfg.block = r.block_dims;
   cfg.args = {A, C, Value::of_int(64)};
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(*r.kernel, cfg);
   for (int m = 0; m < 32; ++m)
     EXPECT_FLOAT_EQ(mem.buffer(C).f32()[static_cast<std::size_t>(m)], 4.5f);
@@ -255,7 +256,8 @@ void check_local_array_result(const TransformResult& r) {
   for (const auto& extra : r.extra_buffers)
     cfg.args.push_back(
         mem.alloc(extra.type, static_cast<std::size_t>(extra.elems_per_block) * 2));
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(*r.kernel, cfg);
   for (int t = 0; t < 64; ++t) {
     float want = 0.0f;
@@ -484,7 +486,8 @@ __global__ void k(float* a, float* c, int n) {
   }
   LaunchConfig cfg{.grid = {1, 1, 1}, .block = r.block_dims,
                    .args = {A, C, Value::of_int(64)}};
-  Interpreter interp(DeviceSpec::gtx680(), mem);
+  const DeviceSpec spec = DeviceSpec::gtx680();
+  Interpreter interp(spec, mem);
   (void)interp.run(*r.kernel, cfg);
   EXPECT_NEAR(mem.buffer(C).f32()[0], want, 1e-2);
 }
