@@ -30,7 +30,6 @@ class Lowerer {
     emit(Op::kHalt);
     prog_.num_regs = max_regs_;
     prog_.max_mask_depth = max_depth_;
-    prog_.max_loop_depth = max_loops_;
     return std::make_shared<const Program>(std::move(prog_));
   }
 
@@ -261,26 +260,32 @@ class Lowerer {
       enter_masks(2);
       lower_block(*i.then_body);
       leave_masks(1);
-      std::size_t elsei = emit(Op::kIfElse);
+      std::size_t elsei = emit_if_close(Op::kIfElse, split);
       patch(split, elsei);
       lower_block(*i.else_body);
-      std::size_t endi = emit(Op::kIfEnd);
+      std::size_t endi = emit_if_close(Op::kIfEnd, split);
       patch(elsei, endi + 1);
       leave_masks(1);
     } else {
       enter_masks(1);
       lower_block(*i.then_body);
-      std::size_t endi = emit(Op::kIfEnd);
+      std::size_t endi = emit_if_close(Op::kIfEnd, split);
       patch(split, endi);  // empty then-mask still pops at kIfEnd
       leave_masks(1);
     }
   }
 
+  /// kIfElse / kIfEnd name their kIfSplit.
+  std::size_t emit_if_close(Op op, std::size_t split) {
+    Instr in;
+    in.op = op;
+    in.imm = static_cast<std::int64_t>(split);
+    return emit(std::move(in));
+  }
+
   void lower_for(const ForStmt& f) {
     if (f.init) lower_stmt(*f.init);
     enter_masks(1);
-    ++loops_;
-    max_loops_ = std::max(max_loops_, loops_);
     emit_loc(Op::kLoopEnter, f.loc());
     const std::size_t head = prog_.code.size();
     emit_loc(Op::kLoopBackedge, f.loc());
@@ -315,14 +320,11 @@ class Lowerer {
     patch(check, exit);
     patch(latch, exit);
     emit(Op::kLoopExit);
-    --loops_;
     leave_masks(1);
   }
 
   void lower_while(const WhileStmt& wl) {
     enter_masks(1);
-    ++loops_;
-    max_loops_ = std::max(max_loops_, loops_);
     emit_loc(Op::kLoopEnter, wl.loc());
     const std::size_t head = prog_.code.size();
     emit_loc(Op::kLoopBackedge, wl.loc());
@@ -333,6 +335,7 @@ class Lowerer {
     {
       Instr in;
       in.op = Op::kMaskAnd;
+      in.aux = 1;  // while condition
       in.a = c;
       emit(std::move(in));
     }
@@ -357,7 +360,6 @@ class Lowerer {
     }
     patch(check, prog_.code.size());
     emit(Op::kLoopExit);
-    --loops_;
     leave_masks(1);
   }
 
@@ -650,8 +652,6 @@ class Lowerer {
   std::int32_t max_regs_ = 0;
   int depth_ = 0;
   int max_depth_ = 0;
-  int loops_ = 0;
-  int max_loops_ = 0;
 };
 
 }  // namespace

@@ -2,12 +2,14 @@
 //
 // The lowering pass walks the bound AST once per launch and emits a flat
 // instruction stream with virtual registers and resolved jump targets;
-// sim/vm.cpp executes it with a dispatch loop over SoA lane state. The
-// bytecode is the simulator's one executable form of a kernel: its
-// instruction order defines the order of charges, watchdog steps, hazard
-// reports and errors, and each instruction runs through one
-// exec::BlockCore helper. Operator results come from the scalar
-// semantics the symbolic executor shares (sim/ops.hpp).
+// vm::Machine (sim/vm.hpp) executes it with a dispatch loop over SoA
+// lane state. The bytecode is the one executable form of a kernel, for
+// simulation and for symbolic certification alike: its instruction order
+// defines the order of charges, watchdog steps, hazard reports and
+// errors, and each instruction runs through one hook of the value
+// domain's core — exec::BlockCore over Values, or the symbolic core
+// (sim/symvm.cpp) over expression nodes. Operator results come from one
+// table of scalar semantics (sim/ops.hpp).
 //
 // Operands distinguish registers, folded immediates, geometry lane
 // caches, uniform kernel arguments and live slot storage; the last three
@@ -19,7 +21,7 @@
 // construct, so the fault fires only if that code runs.
 //
 // Implementation detail of sim/; include only from the interpreter, the
-// VM and their tests.
+// VM, its cores and their tests.
 #pragma once
 
 #include <cstdint>
@@ -72,10 +74,11 @@ enum class Op : std::uint8_t {
   kIfSplit,       ///< Split mask on a; push arm masks; empty-then -> target.
   kIfElse,        ///< Pop then mask; empty else -> pop + jump target.
   kIfEnd,         ///< Pop the surviving arm mask.
+                  ///< (kIfElse / kIfEnd: imm = index of their kIfSplit.)
   kLoopEnter,     ///< Push loop mask copy + watchdog loop scope.
   kLoopBackedge,  ///< count_step(loc) + back-edge counter.
-  kMaskAnd,       ///< Clear lanes of the current mask where !truthy(a).
-  kLoopCheck,     ///< Empty mask -> jump target; else ++iters, valve check.
+  kMaskAnd,       ///< Clear lanes where !truthy(a); aux 1 = while loop.
+  kLoopCheck,     ///< Empty mask -> jump target; else iteration valve check.
   kLoopLatchFor,  ///< Clear returned; empty mask -> jump target (for latch).
   kClearReturned, ///< Clear returned lanes only (while latch).
   kLoopExit,      ///< Pop loop mask + watchdog loop scope.
@@ -136,7 +139,6 @@ struct Program {
   std::vector<const ir::DeclStmt*> decls;
   int num_regs = 0;
   int max_mask_depth = 0;
-  int max_loop_depth = 0;
 };
 
 /// Lowers a bound kernel to bytecode. Never returns null.

@@ -141,6 +141,10 @@ WatchdogError BlockCore::make_watchdog_error(const SourceLoc& loc) const {
   return WatchdogError(os.str(), loc, steps_);
 }
 
+void BlockCore::stall_if_injected() {
+  if (opt_.fault && opt_.fault->should_stall(flat_block_)) stall();
+}
+
 void BlockCore::stall() {
   if (max_steps_ == std::numeric_limits<std::int64_t>::max())
     throw SimError(
@@ -255,10 +259,11 @@ void BlockCore::charge_local(const Slot& slot, const Value* elem_idx,
   });
 }
 
-void BlockCore::buffer_access(Slot& slot, const std::string& name,
+void BlockCore::buffer_access(std::int32_t slot_id, const std::string& name,
                               LaneView idx, const Mask& mask,
                               const LaneView* store, Value* out,
                               SourceLoc loc) {
+  const Slot& slot = frame_[static_cast<std::size_t>(slot_id)];
   DeviceBuffer& buf = mem_.buffer(slot.buffer);
   charge_global(buf, idx, mask);
   std::vector<std::uint8_t>* bsh =
@@ -281,10 +286,11 @@ void BlockCore::buffer_access(Slot& slot, const std::string& name,
   }
 }
 
-void BlockCore::shared_access(Slot& slot, const std::string& name,
+void BlockCore::shared_access(std::int32_t slot_id, const std::string& name,
                               const Value* flat, const Mask& mask,
                               const LaneView* store, Value* out,
                               SourceLoc loc) {
+  Slot& slot = frame_[static_cast<std::size_t>(slot_id)];
   charge_shared(slot, flat, mask);
   if (san_) ++access_seq_;
   for (int l = 0; l < nlanes_; ++l) {
@@ -304,10 +310,11 @@ void BlockCore::shared_access(Slot& slot, const std::string& name,
   }
 }
 
-void BlockCore::local_access(Slot& slot, const std::string& name,
+void BlockCore::local_access(std::int32_t slot_id, const std::string& name,
                              const Value* flat, const Mask& mask,
                              const LaneView* store, Value* out,
                              SourceLoc loc) {
+  Slot& slot = frame_[static_cast<std::size_t>(slot_id)];
   if (slot.type.space == AddrSpace::kLocal) {
     charge_local(slot, flat, mask);
   } else if (slot.type.space == AddrSpace::kConstant) {
@@ -361,8 +368,7 @@ void BlockCore::flatten_dim(Value* flat, LaneView idx, std::int64_t dim,
     if (!mask[static_cast<std::size_t>(l)]) continue;
     std::int64_t i = idx.at(static_cast<std::size_t>(l)).as_i();
     if (i < 0 || i >= dim)
-      throw SimError("index " + std::to_string(i) + " out of bounds [0," +
-                     std::to_string(dim) + ") for array at " + loc.str());
+      throw SimError(ops::index_out_of_bounds(i, dim, loc));
     auto& f = flat[static_cast<std::size_t>(l)];
     f = Value::of_int(first ? i : f.as_i() * dim + i);
   }
@@ -411,9 +417,11 @@ void BlockCore::store_var(std::int32_t slot_id, const std::string& name,
     }
 }
 
-void BlockCore::decl_scalar_init(Slot& slot, ScalarType to, const Mask& mask,
+void BlockCore::decl_scalar_init(const DeclStmt& d, const Mask& mask,
                                  LaneView val) {
   charge_issue(mask, opt_.timing.weights.alu);
+  Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
+  const ScalarType to = d.type.scalar;
   Value* data = slot.data.data();
   std::uint8_t* shadow = slot.shadow.empty() ? nullptr : slot.shadow.data();
   for (int l = 0; l < nlanes_; ++l)
@@ -424,8 +432,9 @@ void BlockCore::decl_scalar_init(Slot& slot, ScalarType to, const Mask& mask,
     }
 }
 
-void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
-                          Value raw) {
+void BlockCore::decl_fill(const DeclStmt& d, std::size_t e, Value raw) {
+  Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
+  const Type& type = d.type;
   Value val = ops::coerce(raw, type.scalar);
   if (type.space == AddrSpace::kShared) {
     slot.data[e] = val;
@@ -437,8 +446,10 @@ void BlockCore::decl_fill(Slot& slot, const Type& type, std::size_t e,
   }
 }
 
-void BlockCore::decl_shadow_all(Slot& slot, const Type& type) {
+void BlockCore::decl_shadow_all(const DeclStmt& d) {
   if (!san_) return;
+  Slot& slot = frame_[static_cast<std::size_t>(d.sim_slot)];
+  const Type& type = d.type;
   if (type.space == AddrSpace::kShared) {
     for (std::int64_t e = 0; e < type.element_count(); ++e)
       smem_shadow_[slot.base_word + static_cast<std::uint64_t>(e)].init = true;
@@ -500,8 +511,9 @@ void BlockCore::do_select(LaneView c, LaneView a, LaneView b,
   }
 }
 
-void BlockCore::do_math(const ops::MathOp& m, LaneView x, LaneView y,
-                        const Mask& mask, Value* out) {
+void BlockCore::do_math(Builtin fn, LaneView x, LaneView y, const Mask& mask,
+                        Value* out) {
+  const ops::MathOp& m = *ops::math_op(fn);
   const CostWeights& w = opt_.timing.weights;
   const double sfu = w.fdiv_sqrt_transcendental;
   charge_issue(mask, m.weight == ops::MathWeight::kAlu   ? w.alu
@@ -513,6 +525,27 @@ void BlockCore::do_math(const ops::MathOp& m, LaneView x, LaneView y,
         ops::apply_math(m, x.at(static_cast<std::size_t>(l)),
                         y.at(static_cast<std::size_t>(l)));
   }
+}
+
+// ---------------- control flow ----------------
+
+void BlockCore::if_split(std::size_t, LaneView c, const Mask& mask, Mask& tm,
+                         Mask& em) {
+  for (int l = 0; l < nlanes_; ++l) {
+    auto i = static_cast<std::size_t>(l);
+    bool active = mask[i] != 0;
+    bool t = active && c.at(i).truthy();
+    tm[i] = t ? 1 : 0;
+    em[i] = (active && !t) ? 1 : 0;
+  }
+  for_each_active_warp(mask, [&](int, int lo, int hi) {
+    bool t = false, e = false;
+    for (int l = lo; l < hi; ++l) {
+      t |= tm[static_cast<std::size_t>(l)] != 0;
+      e |= em[static_cast<std::size_t>(l)] != 0;
+    }
+    if (t && e) ++divergent_branches_;
+  });
 }
 
 // ---------------- builtins with shared semantics ----------------

@@ -1,13 +1,15 @@
-// Per-block execution core of the bytecode VM.
+// Concrete value domain of the bytecode VM: the simulator's block core.
 //
 // BlockCore owns the per-block state and every semantic helper the VM's
-// instructions call: the slot frame, geometry lane caches, per-warp cost
-// charging, the watchdog step counter, the sanitizer hooks and every
-// memory-access / operator execution path. The VM (sim/vm.cpp) derives
-// from it and contributes only dispatch, registers and the mask stack.
+// instructions call over Value lanes: the slot frame, geometry lane
+// caches, per-warp cost charging, the watchdog step counter, the
+// sanitizer hooks and every memory-access / operator execution path.
+// vm::Machine<BlockCore> (sim/vm.hpp) derives from it and contributes
+// only dispatch, registers and the mask stack; the symbolic core
+// (sim/symvm.cpp) implements the same hooks over SymArena node ids.
 //
 // This header is an implementation detail of sim/; nothing outside the
-// interpreter, the lowering pass and the VM should include it.
+// interpreter, the VM and its two cores should include it.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 
 #include "ir/kernel.hpp"
 #include "sim/binder.hpp"
+#include "sim/bytecode.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/launch.hpp"
 #include "sim/memory.hpp"
@@ -78,21 +81,99 @@ struct BlockSanitizer {
 /// Per-lane value source: a full lane vector or one broadcast value.
 /// The VM passes registers, geometry vectors, live slot storage, or
 /// folded immediates without copying.
-struct LaneView {
-  const Value* vec = nullptr;
-  Value splat{};
-  [[nodiscard]] Value at(std::size_t l) const { return vec ? vec[l] : splat; }
+template <class T>
+struct LaneViewOf {
+  const T* vec = nullptr;
+  T splat{};
+  [[nodiscard]] T at(std::size_t l) const { return vec ? vec[l] : splat; }
 };
+using LaneView = LaneViewOf<Value>;
 
 class BlockCore {
  public:
+  using Lane = Value;
+  /// Initial register contents.
+  static constexpr Value kNoLane{};
+
   BlockCore(const DeviceSpec& spec, DeviceMemory& mem,
             const Interpreter::Options& opt, const BoundKernel& bound,
             const LaunchConfig& cfg, Dim3 block_idx, int resident_blocks,
             BlockSanitizer* san, std::int64_t flat_block,
             std::int64_t max_steps);
 
+  /// Injected stall (FaultPlan::stall_block) of this block, if any.
+  void stall_if_injected();
+
+  /// Folds the per-warp counters into the block's KernelStats at the end
+  /// of a block run.
+  [[nodiscard]] KernelStats collect_stats() const;
+
  protected:
+  // ---------------- dispatch hooks (vm::Machine) ----------------
+  /// Resolves a non-register operand to a zero-copy lane view.
+  [[nodiscard]] LaneView operand(const bytecode::Operand& o) const {
+    switch (o.kind) {
+      case bytecode::Operand::Kind::kImm:
+        return LaneView{nullptr, o.imm};
+      case bytecode::Operand::Kind::kGeom:
+        return LaneView{geom_[o.id].data(), Value{}};
+      case bytecode::Operand::Kind::kUniform:
+        return LaneView{nullptr,
+                        frame_[static_cast<std::size_t>(o.id)].data[0]};
+      case bytecode::Operand::Kind::kSlotData:
+        return LaneView{frame_[static_cast<std::size_t>(o.id)].data.data(),
+                        Value{}};
+      case bytecode::Operand::Kind::kReg:
+      case bytecode::Operand::Kind::kNone:
+        break;
+    }
+    return LaneView{};
+  }
+  [[noreturn]] static void trap(const std::string& message) {
+    throw SimError(message);
+  }
+  void charge_alu(const Mask& mask) {
+    charge_issue(mask, opt_.timing.weights.alu);
+  }
+  void require_live(std::int32_t slot, const std::string& name,
+                    SourceLoc loc) {
+    (void)slot_at(slot, name, loc);
+  }
+  void shfl_guard() const {
+    if (spec_.sm_version < 30)
+      throw SimError("__shfl requires sm_30+ (device is sm_" +
+                     std::to_string(spec_.sm_version) + ")");
+  }
+  /// Splits `mask` on `c` into the then (`tm`) and else (`em`) arms and
+  /// counts warps that take both.
+  void if_split(std::size_t pc, LaneView c, const Mask& mask, Mask& tm,
+                Mask& em);
+  void if_else(const bytecode::Instr&) {}
+  void if_end(const bytecode::Instr&) {}
+  void loop_enter(SourceLoc loc) { loop_stack_.emplace_back(loc, 0); }
+  /// Back-edges are budgeted so even empty or condition-only spins trip
+  /// the watchdog.
+  void loop_backedge(SourceLoc loc) {
+    count_step(loc);
+    ++loop_stack_.back().second;
+  }
+  void loop_exit() { loop_stack_.pop_back(); }
+  /// Clears the lanes of `mask` where the loop condition `c` is false.
+  void mask_and(Mask& mask, LaneView c, bool /*is_while*/) {
+    for (int l = 0; l < nlanes_; ++l) {
+      auto i = static_cast<std::size_t>(l);
+      if (mask[i] && !c.at(i).truthy()) mask[i] = 0;
+    }
+  }
+  /// The max_loop_iterations valve, checked at every loop iteration (the
+  /// innermost loop's back-edge count is its iteration count there).
+  void loop_valve(const bytecode::Instr& ins) const {
+    if (loop_stack_.back().second > opt_.limits.max_loop_iterations)
+      throw SimError(std::string(ins.aux ? "while loop" : "loop") +
+                     " exceeded max iterations at " + ins.loc.str());
+  }
+  void on_return(const Mask&) {}
+
   // ---------------- setup ----------------
   /// Precomputes the 12 builtin geometry vectors once per block, so an
   /// executed threadIdx/blockDim/... reference is a plain vector copy.
@@ -137,10 +218,6 @@ class BlockCore {
           warp_pending_[static_cast<std::size_t>(w)];
   }
 
-  /// Folds the per-warp counters into the block's KernelStats at the end
-  /// of a block run.
-  [[nodiscard]] KernelStats collect_stats() const;
-
   // ---------------- watchdog ----------------
   /// Charges one interpreted statement (or loop back-edge) against the
   /// block's step budget and fires the fault-injection hook. Deterministic
@@ -163,19 +240,19 @@ class BlockCore {
 
   /// Global-buffer element access, charges included. Load when `store` is
   /// null (fills `out`), store otherwise.
-  void buffer_access(Slot& slot, const std::string& name, LaneView idx,
+  void buffer_access(std::int32_t slot, const std::string& name, LaneView idx,
                      const Mask& mask, const LaneView* store, Value* out,
                      SourceLoc loc);
   /// Shared-array access on pre-flattened indices; bumps the sanitizer's
   /// access sequence and emits race / uninit reports.
-  void shared_access(Slot& slot, const std::string& name, const Value* flat,
-                     const Mask& mask, const LaneView* store, Value* out,
-                     SourceLoc loc);
+  void shared_access(std::int32_t slot, const std::string& name,
+                     const Value* flat, const Mask& mask,
+                     const LaneView* store, Value* out, SourceLoc loc);
   /// Local / register / constant array access on pre-flattened indices
   /// (the charge dispatch on the address space included).
-  void local_access(Slot& slot, const std::string& name, const Value* flat,
-                    const Mask& mask, const LaneView* store, Value* out,
-                    SourceLoc loc);
+  void local_access(std::int32_t slot, const std::string& name,
+                    const Value* flat, const Mask& mask,
+                    const LaneView* store, Value* out, SourceLoc loc);
 
   /// One dimension of a (possibly multi-dim) index flatten: bounds-checks
   /// active lanes against `dim` and accumulates flat = flat * dim + i
@@ -197,14 +274,14 @@ class BlockCore {
                  const Mask& mask, LaneView val, SourceLoc loc);
   /// DeclStmt scalar initializer: ALU charge + masked coerced store with
   /// shadow marking into an already-declared slot.
-  void decl_scalar_init(Slot& slot, ir::ScalarType to, const Mask& mask,
+  void decl_scalar_init(const ir::DeclStmt& d, const Mask& mask,
                         LaneView val);
   /// One brace-initializer element (coerced lane-0 value broadcast into
   /// shared storage or all lanes' element e).
-  void decl_fill(Slot& slot, const ir::Type& type, std::size_t e, Value raw);
+  void decl_fill(const ir::DeclStmt& d, std::size_t e, Value raw);
   /// Brace initializers zero-fill the tail in C, so the whole array is
   /// marked initialized for the sanitizer (no-op when it is off).
-  void decl_shadow_all(Slot& slot, const ir::Type& type);
+  void decl_shadow_all(const ir::DeclStmt& d);
 
   // ---------------- operators (charges included) ----------------
   void do_binop(ir::BinOp op, LaneView a, LaneView b, const Mask& mask,
@@ -217,9 +294,9 @@ class BlockCore {
   void do_cast(ir::ScalarType to, LaneView a, const Mask& mask, Value* out);
   void do_select(LaneView c, LaneView a, LaneView b, const Mask& mask,
                  Value* out);
-  /// Math builtin `m` (sim/ops.hpp); unary builtins ignore `y`.
-  void do_math(const ops::MathOp& m, LaneView x, LaneView y,
-               const Mask& mask, Value* out);
+  /// Math builtin `fn` (sim/ops.hpp); unary builtins ignore `y`.
+  void do_math(Builtin fn, LaneView x, LaneView y, const Mask& mask,
+               Value* out);
 
   // ---------------- builtins with shared semantics ----------------
   /// __syncthreads(): counters, charges, barrier bookkeeping.

@@ -14,8 +14,9 @@
 // Each launch binds the kernel's names to frame slots once
 // (sim/binder.hpp), lowers the bound kernel to a flat register bytecode
 // (sim/bytecode.hpp) and runs every block of the grid on the VM
-// (sim/vm.cpp), a dispatch loop over SoA lane state. The bytecode is the
-// simulator's definition of a kernel: every kernel lowers, and
+// (vm::Machine over exec::BlockCore, sim/vm.hpp), a dispatch loop over
+// SoA lane state that symbolic certification runs too. The bytecode is
+// the simulator's definition of a kernel: every kernel lowers, and
 // constructs the simulator rejects lower to traps that raise their
 // SimError where execution reaches them. Per-block state, charging,
 // sanitizer hooks and memory paths live in exec::BlockCore

@@ -1,10 +1,11 @@
 // Scalar operator semantics shared by every evaluator of the kernel IR.
 //
-// The bytecode VM (through exec::BlockCore) and the symbolic executor's
-// constant folding and SymEvaluator (sim/symexec.cpp) all compute
-// operators through this header, so a fully concrete symbolic run is
-// bit-identical to a simulated one by construction. Floats round
-// through f32 after every operation; ints are exact int64.
+// The bytecode VM's two value domains — exec::BlockCore over Values and
+// the symbolic core through SymArena's constant folding — and
+// SymEvaluator (sim/symexec.cpp) all compute operators through this
+// header, so a fully concrete symbolic run is bit-identical to a
+// simulated one by construction. Floats round through f32 after every
+// operation; ints are exact int64.
 //
 // Faults are reported through a caller-supplied callable `fail(text)`
 // that must not return (each engine throws its own error type: SimError
@@ -223,6 +224,14 @@ static_assert(std::size(kMathOps) == static_cast<std::size_t>(
 [[nodiscard]] inline std::string shared_scalar_error(const std::string& name) {
   return "__shared__ scalar '" + name +
          "' is not supported; declare it as a one-element array";
+}
+
+/// The fault text for an array index outside [0, dim).
+[[nodiscard]] inline std::string index_out_of_bounds(std::int64_t i,
+                                                     std::int64_t dim,
+                                                     const SourceLoc& loc) {
+  return "index " + std::to_string(i) + " out of bounds [0," +
+         std::to_string(dim) + ") for array at " + loc.str();
 }
 
 /// Applies a math builtin; unary builtins take the default `y`.

@@ -1,16 +1,19 @@
-// Symbolic evaluator over ir:: kernels (the proof engine behind
+// Symbolic execution of kernels (the proof engine behind
 // np/certifier.hpp).
 //
-// The executor runs a kernel in the same block-lockstep vector model as
-// the interpreter, but with *symbolic* float data: geometry and int
-// scalar parameters are concrete (so loop bounds, indices and masks
-// fold), while float buffer elements and float scalar parameters are
-// opaque input leaves. Every arithmetic step builds a hash-consed
-// expression node whose constant folding shares sim/ops.hpp with the
-// simulator's engines (float ops round through f32, int64 exact), and
-// names resolve through the same binder slots (sim/binder.hpp), so a
-// fully-concrete symbolic run computes exactly what the interpreter
-// would.
+// Symbolic execution is a value domain of the simulator's VM, not a
+// separate evaluator: sym_execute binds the kernel (sim/binder.hpp),
+// lowers it to the same bytecode the simulator runs (sim/bytecode.hpp)
+// and drives it through the same dispatch loop (vm::Machine,
+// sim/vm.hpp), one block after another, with lanes that hold SymArena
+// node ids instead of Values (sim/symvm.cpp). Float data is *symbolic*:
+// geometry and int scalar parameters are concrete (so loop bounds,
+// indices and masks fold), while float buffer elements and float scalar
+// parameters are opaque input leaves. Every arithmetic instruction builds
+// a hash-consed expression node whose constant folding is the
+// simulator's operator table (sim/ops.hpp: float ops round through f32,
+// int64 exact), so a fully-concrete symbolic run computes exactly what
+// the simulator would.
 //
 // The result is, per output buffer element, an expression DAG over the
 // input leaves. np::Certifier normalizes those DAGs (constant folding,
@@ -21,13 +24,17 @@
 // contract for NP-transformed float reductions and scans.
 //
 // Anything outside the supported envelope (symbolic loop bounds,
-// symbolic store indices, barriers or shared-memory stores under
-// symbolically divergent branches, cross-block data flow, budget
-// exhaustion) aborts the run with a reason instead of guessing — the
-// certifier maps that to kInconclusive and the empirical
-// sanitize/cross-check legs keep the final say. Global stores under a
-// symbolically divergent branch are supported by folding the branch
-// predicate into the stored value (select(pred, new, old)).
+// symbolic store indices, barriers, shuffles, returns or shared-memory
+// stores under symbolically divergent branches, cross-block data flow,
+// reads of uninitialized data, budget exhaustion) aborts the run with a
+// reason instead of guessing — the certifier maps that to kInconclusive
+// and the empirical sanitize/cross-check legs keep the final say. An
+// `if` on a symbolic condition runs both arms and merges per-lane
+// registers with select nodes; global stores inside it fold the branch
+// predicate into the stored value (select(pred, new, old)). A fault the
+// simulator raises on any input (out-of-bounds index, division by zero,
+// a structural error the lowering turned into a trap) aborts with
+// fault = true; a trap's reason is the simulator's message verbatim.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +78,10 @@ struct SymNode {
 };
 
 /// Raised by constant folding when the folded operation would make the
-/// interpreter throw (integer division by zero: the same fault text,
-/// from sim/ops.hpp, without the location); the executor turns it into
-/// an aborted result with fault = true.
+/// simulator throw (integer division by zero: the same fault text, from
+/// sim/ops.hpp, without the location), and by symbolic execution for
+/// every other deterministic fault; sym_execute turns it into an aborted
+/// result with fault = true.
 struct SymFault {
   std::string message;
 };
@@ -170,7 +178,6 @@ struct SymExecOptions {
   /// Arena node budget: a run whose expression DAG outgrows this aborts
   /// (keeps certification time and memory bounded on huge workloads).
   std::int64_t max_nodes = 8'000'000;
-  int warp_size = 32;
 };
 
 /// A shared-memory (or same-block global) access pair that would be a
@@ -198,10 +205,10 @@ struct SymExecResult {
   std::int64_t steps = 0;
 };
 
-/// Executes `kernel` over the whole grid in lockstep-vector order.
-/// Blocks run sequentially; a read of a global element written by a
-/// *different* block aborts (cross-block ordering is undefined on real
-/// hardware and uncertifiable).
+/// Executes `kernel` over the whole grid in lockstep-vector order, on a
+/// warp of DeviceSpec's width. Blocks run sequentially; a read of a
+/// global element written by a *different* block aborts (cross-block
+/// ordering is undefined on real hardware and uncertifiable).
 [[nodiscard]] SymExecResult sym_execute(const ir::Kernel& kernel, Dim3 grid,
                                         Dim3 block,
                                         const std::vector<SymArg>& args,

@@ -240,8 +240,8 @@ __global__ void k(float* a, float* c, int n) {
 }
 
 /// `__shared__` scalars are rejected the same way by the VM (a SimError
-/// where the declaration executes, a kSimFault when sanitized) and by the
-/// symbolic executor (a deterministic fault with the same text).
+/// where the declaration executes, a kSimFault when sanitized) and by
+/// symbolic execution (a deterministic fault with the VM's text).
 TEST(BinderConcrete, SharedScalarFaultsAlike) {
   const std::string src = R"(
 __global__ void k(float* a, float* c, int n) {
@@ -263,7 +263,6 @@ __global__ void k(float* a, float* c, int n) {
                        np::sym_args_for(probe), arena);
   EXPECT_FALSE(sym.ok);
   EXPECT_TRUE(sym.fault);
-  EXPECT_EQ(sym.reason, reason);
 
   np::Runner runner(sim::DeviceSpec::gtx680());
   np::Workload w = make();
@@ -273,6 +272,7 @@ __global__ void k(float* a, float* c, int n) {
   } catch (const SimError& e) {
     EXPECT_EQ(std::string(e.what()).rfind(reason + " at 3:", 0), 0u)
         << e.what();
+    EXPECT_EQ(sym.reason, e.what());
   }
 
   np::Workload ws = make();
@@ -326,11 +326,15 @@ __global__ void k(float* a, float* c, int n) {
       sim::sym_execute(kernel, probe.launch.grid, probe.launch.block,
                        np::sym_args_for(probe), arena);
   EXPECT_FALSE(sym.ok);
-  EXPECT_EQ(sym.reason, "call to unknown function 'mystery'");
+  EXPECT_TRUE(sym.fault);
   np::Workload w = make();
   np::Runner runner(sim::DeviceSpec::gtx680());
-  EXPECT_THROW((void)runner.execute(np::ExecutionRequest::baseline(kernel, w)),
-               SimError);
+  try {
+    (void)runner.execute(np::ExecutionRequest::baseline(kernel, w));
+    ADD_FAILURE() << "VM did not fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(sym.reason, e.what());
+  }
 }
 
 /// Every math builtin (every spelling the binder accepts), once with
@@ -401,6 +405,127 @@ TEST(BinderConcrete, IntegerDivisionAndModuloByZeroFaultAlike) {
           << e.what();
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The symbolic envelope: every construct outside the model aborts the run
+// with a reason (fault = true only where the VM faults on any input).
+
+sim::SymExecResult sym_run(const std::string& src,
+                           const sim::SymExecOptions& opt = {}, int n = 8,
+                           int tb = 8) {
+  auto prog = frontend::parse_program_or_throw(src);
+  const ir::Kernel& kernel = *prog->find_kernel("k");
+  np::Workload probe = np::make_synthetic_workload(kernel, n, tb);
+  sim::SymArena arena;
+  return sim::sym_execute(kernel, probe.launch.grid, probe.launch.block,
+                          np::sym_args_for(probe), arena, opt);
+}
+
+void expect_abort(const sim::SymExecResult& r, bool fault,
+                  const std::string& phrase) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.fault, fault) << r.reason;
+  EXPECT_NE(r.reason.find(phrase), std::string::npos) << r.reason;
+}
+
+std::string kernel_body(const std::string& body) {
+  return "__global__ void k(float* a, float* c, int n) {\n"
+         "  int tx = threadIdx.x + blockIdx.x * blockDim.x;\n" +
+         body + "}\n";
+}
+
+TEST(SymEnvelope, DataDependentLoopBound) {
+  expect_abort(sym_run(kernel_body(
+                   "  float s = 0.0f;\n"
+                   "  for (int i = 0; i < (int)(a[tx] * 4.0f); i++)\n"
+                   "    s += 1.0f;\n"
+                   "  c[tx] = s;\n")),
+               false, "symbolic loop bound (data-dependent trip count)");
+  expect_abort(sym_run(kernel_body(
+                   "  int i = 0;\n"
+                   "  while ((float)i < a[tx] * 4.0f) { i = i + 1; }\n"
+                   "  c[tx] = (float)i;\n")),
+               false, "symbolic while condition (data-dependent trip count)");
+}
+
+TEST(SymEnvelope, StoreAtASymbolicIndex) {
+  expect_abort(
+      sym_run(kernel_body("  c[(int)(a[tx] * 4.0f) + 4] = 1.0f;\n")), false,
+      "store to 'c' at a symbolic index");
+}
+
+TEST(SymEnvelope, SharedStoreUnderADataDependentBranch) {
+  expect_abort(sym_run(kernel_body("  __shared__ float s[8];\n"
+                                   "  if (a[tx] > 0.0f) s[threadIdx.x] = 1.0f;\n"
+                                   "  c[tx] = a[tx];\n")),
+               false,
+               "store to shared 's' under a symbolically divergent branch");
+}
+
+TEST(SymEnvelope, BarrierUnderADataDependentBranch) {
+  expect_abort(sym_run(kernel_body("  if (a[tx] > 0.0f) { __syncthreads(); }\n"
+                                   "  c[tx] = a[tx];\n")),
+               false, "__syncthreads under a symbolically divergent branch");
+}
+
+TEST(SymEnvelope, ShuffleUnderADataDependentBranch) {
+  expect_abort(sym_run(kernel_body("  float v = a[tx];\n"
+                                   "  if (a[tx] > 0.0f) v = __shfl(v, 0, 8);\n"
+                                   "  c[tx] = v;\n")),
+               false, "__shfl under a symbolically divergent branch");
+}
+
+TEST(SymEnvelope, ReturnUnderADataDependentBranch) {
+  expect_abort(sym_run(kernel_body("  if (a[tx] > 0.0f) return;\n"
+                                   "  c[tx] = a[tx];\n")),
+               false, "return under a symbolically divergent branch");
+}
+
+TEST(SymEnvelope, GatherOverTheCellLimit) {
+  const std::string src =
+      kernel_body("  c[tx] = a[(int)(a[tx] * 4.0f) + 4];\n");
+  EXPECT_TRUE(sym_run(src).ok);
+  sim::SymExecOptions opt;
+  opt.max_gather_cells = 16;
+  expect_abort(sym_run(src, opt), false,
+               "load from 'a' at a symbolic index over 64 cells exceeds the "
+               "gather limit");
+}
+
+TEST(SymEnvelope, StepAndNodeBudgets) {
+  const std::string src = kernel_body("  c[tx] = a[tx] * 2.0f;\n");
+  EXPECT_TRUE(sym_run(src).ok);
+  sim::SymExecOptions steps;
+  steps.max_steps = 1;
+  expect_abort(sym_run(src, steps), false, "step budget of 1 exhausted");
+  sim::SymExecOptions nodes;
+  nodes.max_nodes = 10;
+  expect_abort(sym_run(src, nodes), false,
+               "expression budget of 10 nodes exhausted");
+}
+
+TEST(SymEnvelope, CrossBlockReadOfAnotherBlocksWrite) {
+  expect_abort(
+      sym_run(kernel_body("  c[tx] = a[tx];\n"
+                          "  if (blockIdx.x == 1) c[tx] = c[tx - 8] * 2.0f;\n"),
+              {}, 16, 8),
+      false, "cross-block read of 'c[0]'");
+}
+
+TEST(SymEnvelope, ReadOfAnUninitializedVariable) {
+  expect_abort(sym_run(kernel_body("  float v;\n"
+                                   "  c[tx] = v * 2.0f;\n")),
+               false, "read of uninitialized variable 'v'");
+}
+
+TEST(SymEnvelope, OutOfBoundsConstantIndexFaults) {
+  expect_abort(sym_run(kernel_body("  c[tx + 1000] = a[tx];\n")), true,
+               "out-of-bounds access to 'c[1000]' (size 64)");
+  expect_abort(sym_run(kernel_body("  float r[4];\n"
+                                   "  r[tx] = a[tx];\n"
+                                   "  c[tx] = r[0];\n")),
+               true, "index 4 out of bounds");
 }
 
 }  // namespace
