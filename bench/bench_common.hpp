@@ -30,11 +30,17 @@ struct BenchOptions {
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opt;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--scale=", 8) == 0)
-        opt.scale = std::atof(argv[i] + 8);
-      else if (std::strcmp(argv[i], "--quick") == 0)
+      if (std::strncmp(argv[i], "--scale=", 8) == 0) {
+        auto v = parse_f64(argv[i] + 8);
+        if (!v || *v <= 0) {
+          std::fprintf(stderr, "%s: bad value for --scale: '%s'\n", argv[0],
+                       argv[i] + 8);
+          std::exit(1);
+        }
+        opt.scale = *v;
+      } else if (std::strcmp(argv[i], "--quick") == 0) {
         opt.scale = 0.25;
-      else if (std::strcmp(argv[i], "--help") == 0) {
+      } else if (std::strcmp(argv[i], "--help") == 0) {
         std::printf("usage: %s [--scale=<f>] [--quick]\n", argv[0]);
         std::exit(0);
       }

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -31,6 +32,7 @@
 #include "kernels/benchmark.hpp"
 #include "np/compiler.hpp"
 #include "np/runner.hpp"
+#include "support/string_utils.hpp"
 
 using namespace cudanp;
 using Clock = std::chrono::steady_clock;
@@ -49,16 +51,27 @@ struct HarnessOptions {
   std::string out = "BENCH_perf.json";
 };
 
+[[noreturn]] void bad_value(const char* flag, const char* text) {
+  std::fprintf(stderr, "perf_harness: bad value for %s: '%s'\n", flag, text);
+  std::exit(1);
+}
+
 HarnessOptions parse_args(int argc, char** argv) {
   HarnessOptions opt;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--scale=", 8) == 0) {
-      opt.scale = std::atof(a + 8);
+      auto v = parse_f64(a + 8);
+      if (!v || *v <= 0) bad_value("--scale", a + 8);
+      opt.scale = *v;
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(a + 7);
+      auto v = parse_int(a + 7, 1);
+      if (!v) bad_value("--jobs", a + 7);
+      opt.jobs = *v;
     } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      opt.reps = std::max(1, std::atoi(a + 7));
+      auto v = parse_int(a + 7, 1);
+      if (!v) bad_value("--reps", a + 7);
+      opt.reps = *v;
     } else if (std::strncmp(a, "--benchmarks=", 13) == 0) {
       std::stringstream ss(a + 13);
       std::string name;
@@ -74,7 +87,6 @@ HarnessOptions parse_args(int argc, char** argv) {
       std::exit(1);
     }
   }
-  if (opt.scale <= 0 || opt.jobs <= 0) std::exit(1);
   return opt;
 }
 

@@ -14,21 +14,30 @@
 
 namespace cudanp::np {
 
-const char* to_string(Verdict v) {
-  switch (v) {
-    case Verdict::kProven: return "proven";
-    case Verdict::kProvenModuloReassoc: return "proven-modulo-reassoc";
-    case Verdict::kRefuted: return "refuted";
-    case Verdict::kInconclusive: return "inconclusive";
-  }
-  return "unknown";
-}
+namespace {
+
+constexpr std::pair<Verdict, const char*> kVerdicts[] = {
+    {Verdict::kProven, "proven"},
+    {Verdict::kProvenModuloReassoc, "proven-modulo-reassoc"},
+    {Verdict::kRefuted, "refuted"},
+    {Verdict::kInconclusive, "inconclusive"},
+};
+
+constexpr auto kCertificateFields = std::tuple{
+    json::field("kernel", &Certificate::kernel),
+    json::field("config", &Certificate::config),
+    json::field("verdict", &Certificate::verdict, verdict_from_string),
+    json::field("seed", &Certificate::counterexample_seed),
+    json::field("geometry", &Certificate::geometry),
+    json::field("detail", &Certificate::detail),
+};
+
+}  // namespace
+
+const char* to_string(Verdict v) { return json::slug_name(kVerdicts, v); }
 
 std::optional<Verdict> verdict_from_string(std::string_view s) {
-  for (Verdict v : {Verdict::kProven, Verdict::kProvenModuloReassoc,
-                    Verdict::kRefuted, Verdict::kInconclusive})
-    if (s == to_string(v)) return v;
-  return std::nullopt;
+  return json::slug_parse(kVerdicts, s);
 }
 
 std::string Certificate::str() const {
@@ -41,42 +50,13 @@ std::string Certificate::str() const {
   return os.str();
 }
 
-std::string Certificate::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json::escape(kernel) << "\",\"config\":\""
-     << json::escape(config) << "\",\"verdict\":\"" << to_string(verdict)
-     << "\",\"seed\":" << counterexample_seed << ",\"geometry\":\""
-     << json::escape(geometry) << "\",\"detail\":\"" << json::escape(detail)
-     << "\"}";
-  return os.str();
-}
-
-std::optional<Certificate> Certificate::from_json_value(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  Certificate c;
-  c.kernel = v.get_str("kernel");
-  c.config = v.get_str("config");
-  auto verdict = verdict_from_string(v.get_str("verdict"));
-  if (!verdict) return std::nullopt;
-  c.verdict = *verdict;
-  c.counterexample_seed = static_cast<std::uint64_t>(v.get_i64("seed"));
-  c.geometry = v.get_str("geometry");
-  c.detail = v.get_str("detail");
-  return c;
-}
-
-std::optional<Certificate> Certificate::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
+CUDANP_JSON_NESTED_RECORD(Certificate, kCertificateFields)
 
 std::string CertifyOptions::fingerprint() const {
   std::ostringstream os;
   os << "steps=" << max_steps << " gather=" << max_gather_cells
      << " nodes=" << max_nodes << " attempts=" << counterexample_attempts
-     << " replay=" << (replay_check ? 1 : 0) << " rel=" << f32_rel_tol
-     << " abs=" << f32_abs_tol;
+     << " rel=" << f32_rel_tol << " abs=" << f32_abs_tol;
   return os.str();
 }
 
@@ -242,15 +222,8 @@ Certificate Certifier::certify_variant(
 
   // The concrete counterexample environment for `seed`; returns true —
   // and commits the refutation — only when the interpreter reproduces a
-  // misbehaviour the baseline does not show. With replay_check off the
-  // symbolic evidence is trusted as-is (fuzzing cross-validates this).
+  // misbehaviour the baseline does not show.
   auto confirm_refute = [&](std::uint64_t seed, const std::string& sym_why) {
-    if (!opt_.replay_check) {
-      cert.verdict = Verdict::kRefuted;
-      cert.counterexample_seed = seed;
-      cert.detail = sym_why;
-      return true;
-    }
     Runner runner(spec_, opt_.interp);
     // Default (lockstep) sanitize: the simulator's lockstep model is the
     // repo's correctness contract, so a refutation must reproduce under

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "frontend/parser.hpp"
 #include "np/heuristic.hpp"
 #include "np/runner.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::np {
@@ -217,30 +217,44 @@ std::string ValidationReport::summary() const {
   return os.str();
 }
 
+namespace {
+
+constexpr std::pair<FailureCause, const char*> kFailureCauses[] = {
+    {FailureCause::kTransformError, "transform-error"},
+    {FailureCause::kLaunchError, "launch-error"},
+    {FailureCause::kWatchdogTrip, "watchdog-trip"},
+    {FailureCause::kHazards, "hazards"},
+    {FailureCause::kOutputMismatch, "output-mismatch"},
+    {FailureCause::kRunError, "run-error"},
+    {FailureCause::kCrash, "crash"},
+    {FailureCause::kResourceLimit, "resource-limit"},
+    {FailureCause::kProvenWrong, "proven-wrong"},
+};
+
+constexpr auto kVariantFailureFields = std::tuple{
+    json::field("kernel", &VariantFailure::kernel),
+    json::field("config", &VariantFailure::config),
+    json::field("cause", &VariantFailure::cause, failure_cause_from_string),
+    json::field("hazards", &VariantFailure::hazard_count),
+    json::field("detail", &VariantFailure::detail),
+};
+
+constexpr auto kFallbackDecisionFields = std::tuple{
+    json::field("kernel", &FallbackDecision::kernel),
+    json::field("used_baseline", &FallbackDecision::used_baseline),
+    json::field("chosen_config", &FallbackDecision::chosen_config),
+    json::field("first_choice", &FallbackDecision::first_choice),
+    json::field("quarantined", &FallbackDecision::quarantined),
+};
+
+}  // namespace
+
 const char* to_string(FailureCause c) {
-  switch (c) {
-    case FailureCause::kTransformError: return "transform-error";
-    case FailureCause::kLaunchError: return "launch-error";
-    case FailureCause::kWatchdogTrip: return "watchdog-trip";
-    case FailureCause::kHazards: return "hazards";
-    case FailureCause::kOutputMismatch: return "output-mismatch";
-    case FailureCause::kRunError: return "run-error";
-    case FailureCause::kCrash: return "crash";
-    case FailureCause::kResourceLimit: return "resource-limit";
-    case FailureCause::kProvenWrong: return "proven-wrong";
-  }
-  return "unknown";
+  return json::slug_name(kFailureCauses, c);
 }
 
 std::optional<FailureCause> failure_cause_from_string(std::string_view s) {
-  for (FailureCause c :
-       {FailureCause::kTransformError, FailureCause::kLaunchError,
-        FailureCause::kWatchdogTrip, FailureCause::kHazards,
-        FailureCause::kOutputMismatch, FailureCause::kRunError,
-        FailureCause::kCrash, FailureCause::kResourceLimit,
-        FailureCause::kProvenWrong})
-    if (s == to_string(c)) return c;
-  return std::nullopt;
+  return json::slug_parse(kFailureCauses, s);
 }
 
 bool transient(FailureCause c) {
@@ -254,12 +268,6 @@ bool transient(FailureCause c) {
          c == FailureCause::kCrash;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) { return json::escape(s); }
-
-}  // namespace
-
 std::string VariantFailure::str() const {
   std::ostringstream os;
   os << "quarantined '" << config << "' of kernel '" << kernel
@@ -269,14 +277,7 @@ std::string VariantFailure::str() const {
   return os.str();
 }
 
-std::string VariantFailure::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json_escape(kernel) << "\",\"config\":\""
-     << json_escape(config) << "\",\"cause\":\"" << to_string(cause)
-     << "\",\"hazards\":" << hazard_count << ",\"detail\":\""
-     << json_escape(detail) << "\"}";
-  return os.str();
-}
+CUDANP_JSON_NESTED_RECORD(VariantFailure, kVariantFailureFields)
 
 std::string FallbackDecision::summary() const {
   std::ostringstream os;
@@ -290,67 +291,7 @@ std::string FallbackDecision::summary() const {
   return os.str();
 }
 
-std::string FallbackDecision::json() const {
-  std::ostringstream os;
-  os << "{\"kernel\":\"" << json_escape(kernel) << "\",\"used_baseline\":"
-     << (used_baseline ? "true" : "false") << ",\"chosen_config\":\""
-     << json_escape(chosen_config) << "\",\"first_choice\":\""
-     << json_escape(first_choice) << "\",\"quarantined\":[";
-  for (std::size_t i = 0; i < quarantined.size(); ++i) {
-    if (i) os << ",";
-    os << quarantined[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<VariantFailure> VariantFailure::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  VariantFailure f;
-  f.kernel = v.get_str("kernel");
-  f.config = v.get_str("config");
-  auto cause = failure_cause_from_string(v.get_str("cause"));
-  if (!cause) return std::nullopt;
-  f.cause = *cause;
-  f.hazard_count = static_cast<std::size_t>(v.get_i64("hazards"));
-  f.detail = v.get_str("detail");
-  return f;
-}
-
-std::optional<VariantFailure> VariantFailure::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::optional<FallbackDecision> FallbackDecision::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  FallbackDecision d;
-  d.kernel = v.get_str("kernel");
-  d.used_baseline = v.get_bool("used_baseline", true);
-  d.chosen_config = v.get_str("chosen_config");
-  d.first_choice = v.get_str("first_choice");
-  const json::Value* q = v.find("quarantined");
-  if (q) {
-    if (!q->is_array()) return std::nullopt;
-    for (const auto& item : q->arr()) {
-      auto f = VariantFailure::from_json_value(item);
-      if (!f) return std::nullopt;
-      d.quarantined.push_back(std::move(*f));
-    }
-  }
-  return d;
-}
-
-std::optional<FallbackDecision> FallbackDecision::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
+CUDANP_JSON_NESTED_RECORD(FallbackDecision, kFallbackDecisionFields)
 
 FallbackResult NpCompiler::compile_with_fallback(
     const ir::Kernel& kernel, const std::vector<transform::NpConfig>& configs,
@@ -550,22 +491,16 @@ ValidationReport NpCompiler::validate(
 
 std::string NpCompiler::artifact_key(std::string_view source,
                                      std::string_view options_fingerprint) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::string_view s) {
-    for (char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001b3ULL;
-    }
-    // Field separator: "ab" + "c" must hash differently from "a" + "bc".
-    h ^= 0x1f;
-    h *= 0x100000001b3ULL;
-  };
-  mix(source);
-  mix(options_fingerprint);
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+  return hex16(
+      fnv1a_field(options_fingerprint, fnv1a_field(source, kFnvOffset)));
+}
+
+const ir::Kernel* pick_kernel(const ir::Program& program,
+                              const std::string& name) {
+  if (!name.empty()) return program.find_kernel(name);
+  for (const auto& k : program.kernels)
+    if (k->parallel_loop_count() > 0) return k.get();
+  return program.kernels.empty() ? nullptr : program.kernels.front().get();
 }
 
 }  // namespace cudanp::np

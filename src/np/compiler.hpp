@@ -270,4 +270,10 @@ class NpCompiler {
       std::string_view source, std::string_view options_fingerprint);
 };
 
+/// The kernel a request compiles: the one named `name`, else the first
+/// kernel with #pragma np loops, else the first kernel. nullptr when no
+/// kernel has that name or the program has none.
+[[nodiscard]] const ir::Kernel* pick_kernel(const ir::Program& program,
+                                            const std::string& name);
+
 }  // namespace cudanp::np

@@ -1,37 +1,21 @@
 #include "serve/artifact_cache.hpp"
 
 #include <dirent.h>
-#include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "support/hash.hpp"
+#include "support/io.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::serve {
 
 namespace {
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 bool key_is_safe(const std::string& key) {
   for (char c : key)
@@ -76,19 +60,7 @@ void ArtifactCache::persist_locked(const std::string& key,
                     "\",\"len\":" + std::to_string(e.declared_len) +
                     ",\"checksum\":\"" + hex16(e.checksum) + "\"}\n" +
                     e.payload;
-  const char* data = doc.data();
-  std::size_t n = doc.size();
-  bool ok = true;
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
+  bool ok = write_all(fd, doc.data(), doc.size());
   if (ok) (void)::fsync(fd);
   ::close(fd);
   if (!ok || ::rename(tmp.c_str(), final_path.c_str()) != 0)

@@ -1,21 +1,25 @@
 #include "serve/breaker.hpp"
 
+#include "support/json.hpp"
+
 namespace cudanp::serve {
 
+namespace {
+
+constexpr std::pair<BreakerState, const char*> kBreakerStates[] = {
+    {BreakerState::kClosed, "closed"},
+    {BreakerState::kOpen, "open"},
+    {BreakerState::kHalfOpen, "half-open"},
+};
+
+}  // namespace
+
 const char* to_string(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
+  return json::slug_name(kBreakerStates, s);
 }
 
 std::optional<BreakerState> breaker_state_from_string(std::string_view s) {
-  for (BreakerState st : {BreakerState::kClosed, BreakerState::kOpen,
-                          BreakerState::kHalfOpen})
-    if (s == to_string(st)) return st;
-  return std::nullopt;
+  return json::slug_parse(kBreakerStates, s);
 }
 
 bool CircuitBreaker::allow(std::int64_t now_ms) {

@@ -6,10 +6,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "serve/supervisor.hpp"
+#include "support/hash.hpp"
+#include "support/io.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::serve {
@@ -34,85 +35,58 @@ void fsync_dir(const std::string& dir) {
   close(fd);
 }
 
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
+void mix(std::uint64_t* h, std::string_view s) { *h = fnv1a_field(s, *h); }
 
-void fnv1a(std::uint64_t* h, std::string_view s) {
-  for (char c : s) {
-    *h ^= static_cast<std::uint8_t>(c);
-    *h *= 0x100000001b3ULL;
-  }
-  // Field separator: "ab" + "c" must hash differently from "a" + "bc".
-  *h ^= 0x1f;
-  *h *= 0x100000001b3ULL;
-}
-
-void fnv1a_i64(std::uint64_t* h, std::int64_t v) {
-  fnv1a(h, std::to_string(v));
-}
+void mix_i64(std::uint64_t* h, std::int64_t v) { mix(h, std::to_string(v)); }
 
 }  // namespace
 
 std::string batch_fingerprint(const std::vector<JobSpec>& jobs,
                               const ServiceOptions& opt) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  fnv1a_i64(&h, kJournalVersion);
-  fnv1a_i64(&h, static_cast<std::int64_t>(jobs.size()));
+  std::uint64_t h = kFnvOffset;
+  mix_i64(&h, kJournalVersion);
+  mix_i64(&h, static_cast<std::int64_t>(jobs.size()));
   for (const JobSpec& j : jobs) {
-    fnv1a(&h, j.name);
-    fnv1a(&h, j.source);
-    fnv1a(&h, j.kernel);
-    fnv1a_i64(&h, j.elems);
-    fnv1a_i64(&h, j.tb);
-    fnv1a_i64(&h, j.deadline_ms);
-    fnv1a_i64(&h, j.max_attempts);
-    fnv1a_i64(&h, j.watchdog_steps);
-    fnv1a_i64(&h, j.inject ? 1 : 0);
-    fnv1a(&h, j.fault.json());
-    fnv1a_i64(&h, j.transient_attempts);
+    mix(&h, j.name);
+    mix(&h, j.source);
+    mix(&h, j.kernel);
+    mix_i64(&h, j.elems);
+    mix_i64(&h, j.tb);
+    mix_i64(&h, j.deadline_ms);
+    mix_i64(&h, j.max_attempts);
+    mix_i64(&h, j.watchdog_steps);
+    mix_i64(&h, j.inject ? 1 : 0);
+    mix(&h, j.fault.json());
+    mix_i64(&h, j.transient_attempts);
   }
   // Every option that can change an outcome or the commit derivation.
   // --jobs and commit_chunk are deliberately absent: reports are
   // bit-identical across both.
-  fnv1a_i64(&h, opt.queue_capacity);
-  fnv1a_i64(&h, opt.default_deadline_ms);
-  fnv1a_i64(&h, opt.min_feasible_ms);
-  fnv1a_i64(&h, opt.steps_per_ms);
-  fnv1a_i64(&h, opt.attempt_cost_ms);
-  fnv1a_i64(&h, opt.drain_before_job);
-  fnv1a_i64(&h, opt.retry.max_attempts);
-  fnv1a_i64(&h, opt.retry.base_backoff_ms);
-  fnv1a_i64(&h, opt.retry.max_backoff_ms);
-  fnv1a_i64(&h, opt.retry.jitter_ms);
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.retry.seed));
-  fnv1a_i64(&h, opt.breaker.failure_threshold);
-  fnv1a_i64(&h, opt.breaker.cooldown_ms);
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.sanitizer.error_limit));
-  fnv1a_i64(&h, static_cast<std::int64_t>(opt.sanitizer.race_mode));
-  fnv1a_i64(&h, opt.sanitizer.dedupe ? 1 : 0);
+  mix_i64(&h, opt.queue_capacity);
+  mix_i64(&h, opt.default_deadline_ms);
+  mix_i64(&h, opt.min_feasible_ms);
+  mix_i64(&h, opt.steps_per_ms);
+  mix_i64(&h, opt.attempt_cost_ms);
+  mix_i64(&h, opt.drain_before_job);
+  mix_i64(&h, opt.retry.max_attempts);
+  mix_i64(&h, opt.retry.base_backoff_ms);
+  mix_i64(&h, opt.retry.max_backoff_ms);
+  mix_i64(&h, opt.retry.jitter_ms);
+  mix_i64(&h, static_cast<std::int64_t>(opt.retry.seed));
+  mix_i64(&h, opt.breaker.failure_threshold);
+  mix_i64(&h, opt.breaker.cooldown_ms);
+  mix_i64(&h, static_cast<std::int64_t>(opt.sanitizer.error_limit));
+  mix_i64(&h, static_cast<std::int64_t>(opt.sanitizer.race_mode));
+  mix_i64(&h, opt.sanitizer.dedupe ? 1 : 0);
   std::ostringstream tol;
   tol.precision(17);
   tol << opt.f32_rel_tol;
-  fnv1a(&h, tol.str());
-  fnv1a(&h, to_string(opt.isolate));
-  fnv1a_i64(&h, opt.worker_mem_mb);
-  fnv1a_i64(&h, opt.certify ? 1 : 0);
-  fnv1a_i64(&h, opt.certified_fast_path ? 1 : 0);
-
-  char buf[17];
-  snprintf(buf, sizeof(buf), "%016llx",
-           static_cast<unsigned long long>(h));
-  return buf;
+  mix(&h, tol.str());
+  mix(&h, to_string(opt.isolate));
+  mix_i64(&h, opt.worker_mem_mb);
+  mix_i64(&h, opt.certify ? 1 : 0);
+  mix_i64(&h, opt.certified_fast_path ? 1 : 0);
+  return hex16(h);
 }
 
 std::optional<JournalContents> load_journal(const std::string& path,

@@ -20,50 +20,83 @@
 
 namespace cudanp::serve {
 
-const char* to_string(JobState s) {
-  switch (s) {
-    case JobState::kSucceeded: return "succeeded";
-    case JobState::kSucceededAfterRetry: return "succeeded-after-retry";
-    case JobState::kDegraded: return "degraded";
-    case JobState::kRejected: return "rejected";
-  }
-  return "unknown";
-}
-
-std::optional<JobState> job_state_from_string(std::string_view s) {
-  for (JobState st :
-       {JobState::kSucceeded, JobState::kSucceededAfterRetry,
-        JobState::kDegraded, JobState::kRejected})
-    if (s == to_string(st)) return st;
-  return std::nullopt;
-}
-
-const char* to_string(IsolationMode m) {
-  switch (m) {
-    case IsolationMode::kNone: return "none";
-    case IsolationMode::kProcess: return "process";
-  }
-  return "unknown";
-}
-
-std::optional<IsolationMode> isolation_mode_from_string(
-    std::string_view s) {
-  for (IsolationMode m : {IsolationMode::kNone, IsolationMode::kProcess})
-    if (s == to_string(m)) return m;
-  return std::nullopt;
-}
-
 namespace {
 
-std::string json_escape(const std::string& s) { return json::escape(s); }
+constexpr std::pair<JobState, const char*> kJobStates[] = {
+    {JobState::kSucceeded, "succeeded"},
+    {JobState::kSucceededAfterRetry, "succeeded-after-retry"},
+    {JobState::kDegraded, "degraded"},
+    {JobState::kRejected, "rejected"},
+};
 
-const ir::Kernel* pick_kernel(const ir::Program& program,
-                              const std::string& name) {
-  if (!name.empty()) return program.find_kernel(name);
-  for (const auto& k : program.kernels)
-    if (k->parallel_loop_count() > 0) return k.get();
-  return program.kernels.empty() ? nullptr : program.kernels.front().get();
-}
+constexpr std::pair<IsolationMode, const char*> kIsolationModes[] = {
+    {IsolationMode::kNone, "none"},
+    {IsolationMode::kProcess, "process"},
+};
+
+constexpr auto kJobResultFields = std::tuple{
+    json::field("index", &JobResult::index),
+    json::field("name", &JobResult::name),
+    json::field("state", &JobResult::state, job_state_from_string),
+    json::field("cause", &JobResult::cause),
+    json::field("detail", &JobResult::detail),
+    json::field("chosen_config", &JobResult::chosen_config),
+    json::field("breaker_key", &JobResult::breaker_key),
+    json::field("attempts", &JobResult::attempts),
+    json::field("crashed_attempts", &JobResult::crashed_attempts),
+    json::field("deadline_ms", &JobResult::deadline_ms),
+    json::field("virtual_ms", &JobResult::virtual_ms),
+    json::field("deadline_exceeded", &JobResult::deadline_exceeded),
+    json::field("breaker_routed", &JobResult::breaker_routed),
+    json::field("quarantined", &JobResult::quarantined),
+};
+
+constexpr auto kBreakerSnapshotFields = std::tuple{
+    json::field("key", &BreakerSnapshot::key),
+    json::field("state", &BreakerSnapshot::state, breaker_state_from_string),
+    json::field("opens", &BreakerSnapshot::opens),
+    json::field("probes", &BreakerSnapshot::probes),
+    json::field("short_circuits", &BreakerSnapshot::short_circuits),
+};
+
+constexpr auto kJobOutcomeFields = std::tuple{
+    json::field("ran", &JobOutcome::ran),
+    json::field("success", &JobOutcome::success),
+    json::field("rejected", &JobOutcome::rejected),
+    json::field("reject_cause", &JobOutcome::reject_cause),
+    json::field("reject_detail", &JobOutcome::reject_detail),
+    json::field("attempts", &JobOutcome::attempts),
+    json::field("crashed_attempts", &JobOutcome::crashed_attempts),
+    json::field("virtual_ms", &JobOutcome::virtual_ms),
+    json::field("deadline_exceeded", &JobOutcome::deadline_exceeded),
+    json::field("deadline_ms", &JobOutcome::deadline_ms),
+    json::field("breaker_key", &JobOutcome::breaker_key),
+    json::field("decision", &JobOutcome::decision),
+};
+
+constexpr auto kServiceReportFields = std::tuple{
+    json::field("submitted", &ServiceReport::submitted),
+    json::field("accepted", &ServiceReport::accepted),
+    json::field("shed", &ServiceReport::shed),
+    json::field("rejected_admission", &ServiceReport::rejected_admission),
+    json::field("drained", &ServiceReport::drained),
+    json::field("succeeded", &ServiceReport::succeeded),
+    json::field("succeeded_after_retry",
+                &ServiceReport::succeeded_after_retry),
+    json::field("degraded", &ServiceReport::degraded),
+    json::field("rejected_execution", &ServiceReport::rejected_execution),
+    json::field("retries", &ServiceReport::retries),
+    json::field("crashes", &ServiceReport::crashes),
+    json::field("resource_limited", &ServiceReport::resource_limited),
+    json::field("deadline_exceeded", &ServiceReport::deadline_exceeded),
+    json::field("breaker_opens", &ServiceReport::breaker_opens),
+    json::field("breaker_probes", &ServiceReport::breaker_probes),
+    json::field("breaker_short_circuits",
+                &ServiceReport::breaker_short_circuits),
+    json::field("virtual_ms", &ServiceReport::virtual_ms),
+    json::field("breakers", &ServiceReport::breakers),
+    json::field("jobs", &ServiceReport::jobs),
+};
 
 /// Content identity of one attempt: the source plus every request field
 /// that can change its AttemptResult (max_steps included — a tighter
@@ -84,6 +117,21 @@ std::string attempt_cache_key(const AttemptRequest& req) {
 
 }  // namespace
 
+const char* to_string(JobState s) { return json::slug_name(kJobStates, s); }
+
+std::optional<JobState> job_state_from_string(std::string_view s) {
+  return json::slug_parse(kJobStates, s);
+}
+
+const char* to_string(IsolationMode m) {
+  return json::slug_name(kIsolationModes, m);
+}
+
+std::optional<IsolationMode> isolation_mode_from_string(
+    std::string_view s) {
+  return json::slug_parse(kIsolationModes, s);
+}
+
 std::string JobResult::str() const {
   std::ostringstream os;
   os << name << ": " << to_string(state);
@@ -94,136 +142,9 @@ std::string JobResult::str() const {
   return os.str();
 }
 
-std::string JobResult::json() const {
-  std::ostringstream os;
-  os << "{\"index\":" << index << ",\"name\":\"" << json_escape(name)
-     << "\",\"state\":\"" << to_string(state) << "\",\"cause\":\""
-     << json_escape(cause) << "\",\"detail\":\"" << json_escape(detail)
-     << "\",\"chosen_config\":\"" << json_escape(chosen_config)
-     << "\",\"breaker_key\":\"" << json_escape(breaker_key)
-     << "\",\"attempts\":" << attempts
-     << ",\"crashed_attempts\":" << crashed_attempts
-     << ",\"deadline_ms\":" << deadline_ms
-     << ",\"virtual_ms\":" << virtual_ms << ",\"deadline_exceeded\":"
-     << (deadline_exceeded ? "true" : "false") << ",\"breaker_routed\":"
-     << (breaker_routed ? "true" : "false") << ",\"quarantined\":[";
-  for (std::size_t i = 0; i < quarantined.size(); ++i) {
-    if (i) os << ",";
-    os << quarantined[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<JobResult> JobResult::from_json_value(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  JobResult r;
-  r.index = static_cast<std::size_t>(v.get_i64("index"));
-  r.name = v.get_str("name");
-  auto state = job_state_from_string(v.get_str("state"));
-  if (!state) return std::nullopt;
-  r.state = *state;
-  r.cause = v.get_str("cause");
-  r.detail = v.get_str("detail");
-  r.chosen_config = v.get_str("chosen_config");
-  r.breaker_key = v.get_str("breaker_key");
-  r.attempts = static_cast<int>(v.get_i64("attempts"));
-  r.crashed_attempts = static_cast<int>(v.get_i64("crashed_attempts"));
-  r.deadline_ms = v.get_i64("deadline_ms");
-  r.virtual_ms = v.get_i64("virtual_ms");
-  r.deadline_exceeded = v.get_bool("deadline_exceeded");
-  r.breaker_routed = v.get_bool("breaker_routed");
-  if (const json::Value* q = v.find("quarantined")) {
-    if (!q->is_array()) return std::nullopt;
-    for (const auto& item : q->arr()) {
-      auto f = np::VariantFailure::from_json_value(item);
-      if (!f) return std::nullopt;
-      r.quarantined.push_back(std::move(*f));
-    }
-  }
-  return r;
-}
-
-std::optional<JobResult> JobResult::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::string BreakerSnapshot::json() const {
-  std::ostringstream os;
-  os << "{\"key\":\"" << json_escape(key) << "\",\"state\":\""
-     << to_string(state) << "\",\"opens\":" << opens
-     << ",\"probes\":" << probes
-     << ",\"short_circuits\":" << short_circuits << "}";
-  return os.str();
-}
-
-std::optional<BreakerSnapshot> BreakerSnapshot::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  BreakerSnapshot b;
-  b.key = v.get_str("key");
-  auto state = breaker_state_from_string(v.get_str("state"));
-  if (!state) return std::nullopt;
-  b.state = *state;
-  b.opens = static_cast<int>(v.get_i64("opens"));
-  b.probes = static_cast<int>(v.get_i64("probes"));
-  b.short_circuits = static_cast<int>(v.get_i64("short_circuits"));
-  return b;
-}
-
-std::optional<BreakerSnapshot> BreakerSnapshot::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
-
-std::string JobOutcome::json() const {
-  std::ostringstream os;
-  os << "{\"ran\":" << (ran ? "true" : "false") << ",\"success\":"
-     << (success ? "true" : "false") << ",\"rejected\":"
-     << (rejected ? "true" : "false") << ",\"reject_cause\":\""
-     << json_escape(reject_cause) << "\",\"reject_detail\":\""
-     << json_escape(reject_detail) << "\",\"attempts\":" << attempts
-     << ",\"crashed_attempts\":" << crashed_attempts
-     << ",\"virtual_ms\":" << virtual_ms << ",\"deadline_exceeded\":"
-     << (deadline_exceeded ? "true" : "false")
-     << ",\"deadline_ms\":" << deadline_ms << ",\"breaker_key\":\""
-     << json_escape(breaker_key) << "\",\"decision\":" << decision.json()
-     << "}";
-  return os.str();
-}
-
-std::optional<JobOutcome> JobOutcome::from_json_value(
-    const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
-  JobOutcome o;
-  o.ran = v.get_bool("ran");
-  o.success = v.get_bool("success");
-  o.rejected = v.get_bool("rejected");
-  o.reject_cause = v.get_str("reject_cause");
-  o.reject_detail = v.get_str("reject_detail");
-  o.attempts = static_cast<int>(v.get_i64("attempts"));
-  o.crashed_attempts = static_cast<int>(v.get_i64("crashed_attempts"));
-  o.virtual_ms = v.get_i64("virtual_ms");
-  o.deadline_exceeded = v.get_bool("deadline_exceeded");
-  o.deadline_ms = v.get_i64("deadline_ms");
-  o.breaker_key = v.get_str("breaker_key");
-  if (const json::Value* d = v.find("decision")) {
-    auto dec = np::FallbackDecision::from_json_value(*d);
-    if (!dec) return std::nullopt;
-    o.decision = std::move(*dec);
-  }
-  return o;
-}
-
-std::optional<JobOutcome> JobOutcome::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v) return std::nullopt;
-  return from_json_value(*v);
-}
+CUDANP_JSON_NESTED_RECORD(JobResult, kJobResultFields)
+CUDANP_JSON_NESTED_RECORD(BreakerSnapshot, kBreakerSnapshotFields)
+CUDANP_JSON_NESTED_RECORD(JobOutcome, kJobOutcomeFields)
 
 std::string ServiceReport::str() const {
   std::ostringstream os;
@@ -252,78 +173,7 @@ std::string ServiceReport::str() const {
   return os.str();
 }
 
-std::string ServiceReport::json() const {
-  std::ostringstream os;
-  os << "{\"submitted\":" << submitted << ",\"accepted\":" << accepted
-     << ",\"shed\":" << shed
-     << ",\"rejected_admission\":" << rejected_admission
-     << ",\"drained\":" << drained << ",\"succeeded\":" << succeeded
-     << ",\"succeeded_after_retry\":" << succeeded_after_retry
-     << ",\"degraded\":" << degraded
-     << ",\"rejected_execution\":" << rejected_execution
-     << ",\"retries\":" << retries << ",\"crashes\":" << crashes
-     << ",\"resource_limited\":" << resource_limited
-     << ",\"deadline_exceeded\":" << deadline_exceeded
-     << ",\"breaker_opens\":" << breaker_opens
-     << ",\"breaker_probes\":" << breaker_probes
-     << ",\"breaker_short_circuits\":" << breaker_short_circuits
-     << ",\"virtual_ms\":" << virtual_ms << ",\"breakers\":[";
-  for (std::size_t i = 0; i < breakers.size(); ++i) {
-    if (i) os << ",";
-    os << breakers[i].json();
-  }
-  os << "],\"jobs\":[";
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (i) os << ",";
-    os << jobs[i].json();
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<ServiceReport> ServiceReport::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  ServiceReport r;
-  auto sz = [&](const char* key) {
-    return static_cast<std::size_t>(v->get_i64(key));
-  };
-  r.submitted = sz("submitted");
-  r.accepted = sz("accepted");
-  r.shed = sz("shed");
-  r.rejected_admission = sz("rejected_admission");
-  r.drained = sz("drained");
-  r.succeeded = sz("succeeded");
-  r.succeeded_after_retry = sz("succeeded_after_retry");
-  r.degraded = sz("degraded");
-  r.rejected_execution = sz("rejected_execution");
-  r.retries = sz("retries");
-  r.crashes = sz("crashes");
-  r.resource_limited = sz("resource_limited");
-  r.deadline_exceeded = sz("deadline_exceeded");
-  r.breaker_opens = sz("breaker_opens");
-  r.breaker_probes = sz("breaker_probes");
-  r.breaker_short_circuits = sz("breaker_short_circuits");
-  r.virtual_ms = v->get_i64("virtual_ms");
-  if (const json::Value* bs = v->find("breakers")) {
-    if (!bs->is_array()) return std::nullopt;
-    for (const auto& item : bs->arr()) {
-      auto b = BreakerSnapshot::from_json_value(item);
-      if (!b) return std::nullopt;
-      r.breakers.push_back(std::move(*b));
-    }
-  }
-  if (const json::Value* js = v->find("jobs")) {
-    if (!js->is_array()) return std::nullopt;
-    for (const auto& item : js->arr()) {
-      auto j = JobResult::from_json_value(item);
-      if (!j) return std::nullopt;
-      r.jobs.push_back(std::move(*j));
-    }
-  }
-  return r;
-}
+CUDANP_JSON_RECORD(ServiceReport, kServiceReportFields)
 
 std::string certificate_cache_key(
     const std::string& source, const std::string& kernel,
@@ -364,7 +214,7 @@ void BatchService::run_job(const JobSpec& spec, std::size_t index,
     out->reject_detail = e.what();
     return;
   }
-  const ir::Kernel* kernel = pick_kernel(*program, spec.kernel);
+  const ir::Kernel* kernel = np::pick_kernel(*program, spec.kernel);
   if (!kernel) {
     out->rejected = true;
     out->reject_cause = "no-kernel";

@@ -5,9 +5,7 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <cstring>
-#include <sstream>
-
+#include "support/io.hpp"
 #include "support/json.hpp"
 
 namespace cudanp::serve {
@@ -19,20 +17,6 @@ std::int64_t monotonic_ms() {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1000 +
          ts.tv_nsec / 1000000;
-}
-
-/// Writes all of `n` bytes, riding out EINTR and short writes.
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 /// Reads exactly `n` bytes with a poll-based deadline. deadline_ms < 0
@@ -150,142 +134,59 @@ ReadStatus read_frame(int fd, Frame* out, int timeout_ms) {
   return read_exact(fd, out->payload.data(), len, deadline);
 }
 
-std::string AttemptRequest::json() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\"source\":\"" << json::escape(source) << "\",\"kernel\":\""
-     << json::escape(kernel) << "\",\"elems\":" << elems
-     << ",\"tb\":" << tb << ",\"device\":\"" << json::escape(device)
-     << "\",\"sm_version\":" << sm_version
-     << ",\"max_steps\":" << max_steps << ",\"corrupt_ast\":"
-     << (corrupt_ast ? "true" : "false") << ",\"hook_faults\":"
-     << (hook_faults ? "true" : "false") << ",\"fault\":" << fault.json()
-     << ",\"error_limit\":" << error_limit << ",\"portable_races\":"
-     << (portable_races ? "true" : "false") << ",\"dedupe\":"
-     << (dedupe ? "true" : "false") << ",\"f32_rel_tol\":" << f32_rel_tol
-     << ",\"heartbeat_ms\":" << heartbeat_ms << ",\"certify\":"
-     << (certify ? "true" : "false") << ",\"certified_fast_path\":"
-     << (certified_fast_path ? "true" : "false") << ",\"certificates\":[";
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    if (i) os << ",";
-    os << "\"" << json::escape(certificates[i]) << "\"";
-  }
-  os << "]}";
-  return os.str();
-}
+namespace {
 
-std::optional<AttemptRequest> AttemptRequest::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  AttemptRequest r;
-  r.source = v->get_str("source");
-  r.kernel = v->get_str("kernel");
-  r.elems = static_cast<int>(v->get_i64("elems", 32));
-  r.tb = static_cast<int>(v->get_i64("tb", 32));
-  r.device = v->get_str("device", "gtx680");
-  r.sm_version = static_cast<int>(v->get_i64("sm_version", 30));
-  r.max_steps = v->get_i64("max_steps");
-  r.corrupt_ast = v->get_bool("corrupt_ast");
-  r.hook_faults = v->get_bool("hook_faults");
-  if (const json::Value* f = v->find("fault")) {
-    auto plan = sim::FaultPlan::from_json_value(*f);
-    if (!plan) return std::nullopt;
-    r.fault = *plan;
-  }
-  r.error_limit = v->get_i64("error_limit", 100);
-  r.portable_races = v->get_bool("portable_races");
-  r.dedupe = v->get_bool("dedupe", true);
-  r.f32_rel_tol = v->get_double("f32_rel_tol", 1e-3);
-  r.heartbeat_ms = static_cast<int>(v->get_i64("heartbeat_ms", 200));
-  r.certify = v->get_bool("certify");
-  r.certified_fast_path = v->get_bool("certified_fast_path");
-  if (const json::Value* c = v->find("certificates")) {
-    if (!c->is_array()) return std::nullopt;
-    for (const auto& item : c->arr()) {
-      if (!item.is_string()) return std::nullopt;
-      r.certificates.push_back(item.as_str());
-    }
-  }
-  return r;
-}
+constexpr auto kAttemptRequestFields = std::tuple{
+    json::field("source", &AttemptRequest::source),
+    json::field("kernel", &AttemptRequest::kernel),
+    json::field("elems", &AttemptRequest::elems),
+    json::field("tb", &AttemptRequest::tb),
+    json::field("device", &AttemptRequest::device),
+    json::field("sm_version", &AttemptRequest::sm_version),
+    json::field("max_steps", &AttemptRequest::max_steps),
+    json::field("corrupt_ast", &AttemptRequest::corrupt_ast),
+    json::field("hook_faults", &AttemptRequest::hook_faults),
+    json::field("fault", &AttemptRequest::fault),
+    json::field("error_limit", &AttemptRequest::error_limit),
+    json::field("portable_races", &AttemptRequest::portable_races),
+    json::field("dedupe", &AttemptRequest::dedupe),
+    json::field("f32_rel_tol", &AttemptRequest::f32_rel_tol),
+    json::field("heartbeat_ms", &AttemptRequest::heartbeat_ms),
+    json::field("certify", &AttemptRequest::certify),
+    json::field("certified_fast_path", &AttemptRequest::certified_fast_path),
+    json::field("certificates", &AttemptRequest::certificates),
+};
 
-std::string AttemptResult::json() const {
-  std::ostringstream os;
-  os << "{\"rejected\":" << (rejected ? "true" : "false")
-     << ",\"reject_cause\":\"" << json::escape(reject_cause)
-     << "\",\"reject_detail\":\"" << json::escape(reject_detail)
-     << "\",\"kernel_name\":\"" << json::escape(kernel_name)
-     << "\",\"decision\":" << decision.json() << "}";
-  return os.str();
-}
+constexpr auto kAttemptResultFields = std::tuple{
+    json::field("rejected", &AttemptResult::rejected),
+    json::field("reject_cause", &AttemptResult::reject_cause),
+    json::field("reject_detail", &AttemptResult::reject_detail),
+    json::field("kernel_name", &AttemptResult::kernel_name),
+    json::field("decision", &AttemptResult::decision),
+};
 
-std::optional<AttemptResult> AttemptResult::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  AttemptResult r;
-  r.rejected = v->get_bool("rejected");
-  r.reject_cause = v->get_str("reject_cause");
-  r.reject_detail = v->get_str("reject_detail");
-  r.kernel_name = v->get_str("kernel_name");
-  if (const json::Value* d = v->find("decision")) {
-    auto dec = np::FallbackDecision::from_json_value(*d);
-    if (!dec) return std::nullopt;
-    r.decision = std::move(*dec);
-  }
-  return r;
-}
+constexpr auto kSubmitRequestFields = std::tuple{
+    json::field("tenant", &SubmitRequest::tenant),
+    json::field("manifest", &SubmitRequest::manifest),
+    json::field("base_dir", &SubmitRequest::base_dir),
+};
 
-std::string SubmitRequest::json() const {
-  std::ostringstream os;
-  os << "{\"tenant\":\"" << json::escape(tenant) << "\",\"manifest\":\""
-     << json::escape(manifest) << "\",\"base_dir\":\""
-     << json::escape(base_dir) << "\"}";
-  return os.str();
-}
+constexpr auto kSubmitReplyFields = std::tuple{
+    json::field("report_text", &SubmitReply::report_text),
+    json::field("report_json", &SubmitReply::report_json),
+};
 
-std::optional<SubmitRequest> SubmitRequest::from_json(
-    std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  SubmitRequest r;
-  r.tenant = v->get_str("tenant");
-  r.manifest = v->get_str("manifest");
-  r.base_dir = v->get_str("base_dir");
-  return r;
-}
+constexpr auto kRejectReplyFields = std::tuple{
+    json::field("cause", &RejectReply::cause),
+    json::field("detail", &RejectReply::detail),
+};
 
-std::string SubmitReply::json() const {
-  std::ostringstream os;
-  os << "{\"report_text\":\"" << json::escape(report_text)
-     << "\",\"report_json\":\"" << json::escape(report_json) << "\"}";
-  return os.str();
-}
+}  // namespace
 
-std::optional<SubmitReply> SubmitReply::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  SubmitReply r;
-  r.report_text = v->get_str("report_text");
-  r.report_json = v->get_str("report_json");
-  return r;
-}
-
-std::string RejectReply::json() const {
-  std::ostringstream os;
-  os << "{\"cause\":\"" << json::escape(cause) << "\",\"detail\":\""
-     << json::escape(detail) << "\"}";
-  return os.str();
-}
-
-std::optional<RejectReply> RejectReply::from_json(std::string_view text) {
-  auto v = json::parse(text);
-  if (!v || !v->is_object()) return std::nullopt;
-  RejectReply r;
-  r.cause = v->get_str("cause");
-  r.detail = v->get_str("detail");
-  return r;
-}
+CUDANP_JSON_RECORD(AttemptRequest, kAttemptRequestFields)
+CUDANP_JSON_RECORD(AttemptResult, kAttemptResultFields)
+CUDANP_JSON_RECORD(SubmitRequest, kSubmitRequestFields)
+CUDANP_JSON_RECORD(SubmitReply, kSubmitReplyFields)
+CUDANP_JSON_RECORD(RejectReply, kRejectReplyFields)
 
 }  // namespace cudanp::serve

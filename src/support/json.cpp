@@ -2,14 +2,21 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace cudanp::json {
 
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
+  escape_into(out, s);
+  return out;
+}
+
+void escape_into(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -27,8 +34,17 @@ std::string escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
+
+namespace detail {
+
+void append_double(std::string& out, double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  out += buf;
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -137,7 +153,16 @@ Value Value::make_double(double d) {
   Value v;
   v.kind_ = Kind::kNumber;
   v.num_ = d;
-  v.i64_ = static_cast<std::int64_t>(d);
+  // Casting a double outside the int64 range is undefined behaviour.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(d))
+    v.i64_ = 0;
+  else if (d >= kTwo63)
+    v.i64_ = std::numeric_limits<std::int64_t>::max();
+  else if (d < -kTwo63)
+    v.i64_ = std::numeric_limits<std::int64_t>::min();
+  else
+    v.i64_ = static_cast<std::int64_t>(d);
   return v;
 }
 

@@ -1,7 +1,10 @@
 #include "support/string_utils.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace cudanp {
 
@@ -105,6 +108,19 @@ std::optional<int> parse_int(std::string_view s, int min, int max) {
   auto v = parse_i64(s, min, max);
   if (!v) return std::nullopt;
   return static_cast<int>(*v);
+}
+
+std::optional<double> parse_f64(std::string_view s, double min, double max) {
+  s = trim(s);
+  if (s.empty()) return std::nullopt;
+  const std::string text(s);
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(v) || v < min || v > max)
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace cudanp

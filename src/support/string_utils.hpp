@@ -49,4 +49,12 @@ namespace cudanp {
     std::string_view s, int min = std::numeric_limits<int>::min(),
     int max = std::numeric_limits<int>::max());
 
+/// parse_i64's floating-point counterpart: the whole string (after
+/// optional surrounding whitespace) must be a finite number inside
+/// [min, max]; partial parses ("0.5x"), empty strings, nan, inf and
+/// values outside the double range return nullopt.
+[[nodiscard]] std::optional<double> parse_f64(
+    std::string_view s, double min = std::numeric_limits<double>::lowest(),
+    double max = std::numeric_limits<double>::max());
+
 }  // namespace cudanp

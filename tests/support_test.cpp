@@ -123,6 +123,18 @@ TEST(ParseInt, NarrowsWithRange) {
   EXPECT_FALSE(parse_int("4294967296").has_value());
 }
 
+TEST(ParseF64, AcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_f64("0.25"), 0.25);
+  EXPECT_EQ(parse_f64(" 2.5e-4 "), 2.5e-4);
+  EXPECT_EQ(parse_f64("-3"), -3.0);
+  EXPECT_EQ(parse_f64("1", 0.0, 1.0), 1.0);
+  for (const char* bad : {"", " ", "abc", "0.5x", "1e", "nan", "inf",
+                          "-inf", "1e999", "--1"})
+    EXPECT_FALSE(parse_f64(bad).has_value()) << bad;
+  EXPECT_FALSE(parse_f64("1.5", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_f64("-0.1", 0.0, 1.0).has_value());
+}
+
 TEST(Stats, GeometricMean) {
   double xs[] = {1.0, 4.0};
   EXPECT_NEAR(geometric_mean(xs), 2.0, 1e-12);
@@ -258,6 +270,30 @@ TEST(Json, DoubleRoundTripAtFullPrecision) {
     ASSERT_TRUE(v.has_value()) << os.str();
     EXPECT_EQ(v->get_double("x"), d) << os.str();
   }
+}
+
+TEST(Json, OutOfRangeNumbersHaveADefinedIntegerView) {
+  // Every number token outside int64 goes through the double view; its
+  // integer view saturates instead of overflowing the cast.
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  auto v = json::parse(
+      R"({"big":1e300,"small":-1e300,"over":9223372036854775808,)"
+      R"("under":-9223372036854775809,"frac":-2.75,)"
+      R"("max":9223372036854775807})");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->get_i64("big"), kMax);
+  EXPECT_EQ(v->get_i64("small"), kMin);
+  EXPECT_EQ(v->get_i64("over"), kMax);
+  EXPECT_EQ(v->get_i64("under"), kMin);
+  EXPECT_EQ(v->get_i64("frac"), -2);
+  EXPECT_EQ(v->get_i64("max"), kMax);
+  EXPECT_DOUBLE_EQ(v->get_double("big"), 1e300);
+  EXPECT_EQ(json::Value::make_double(std::nan("")).as_i64(), 0);
+  // A daemon submit frame with a stray huge number still reads.
+  auto submit = json::parse(R"({"tenant":"a","x":1e300})");
+  ASSERT_TRUE(submit.has_value());
+  EXPECT_EQ(submit->get_i64("x"), kMax);
 }
 
 TEST(Json, RejectsMalformedAndTornInput) {

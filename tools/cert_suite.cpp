@@ -31,6 +31,7 @@
 #include "sim/device.hpp"
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
+#include "support/string_utils.hpp"
 
 using namespace cudanp;
 
@@ -52,14 +53,13 @@ bool parse_args(int argc, char** argv, Options* opt) {
     std::string a = argv[i];
     if (a.rfind("--scale=", 0) == 0) {
       const char* text = a.c_str() + std::strlen("--scale=");
-      char* end = nullptr;
-      double v = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !(v > 0.0) || v > 1.0) {
+      auto v = parse_f64(text, 0.0, 1.0);
+      if (!v || *v <= 0.0) {
         std::cerr << "cert-suite: bad value for --scale: '" << text
                   << "' (expected a number in (0, 1])\n";
         return false;
       }
-      opt->scale = v;
+      opt->scale = *v;
     } else if (a.rfind("--bench=", 0) == 0) {
       opt->bench = a.substr(std::strlen("--bench="));
       if (opt->bench.empty()) return false;

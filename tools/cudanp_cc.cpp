@@ -504,16 +504,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   return opt;
 }
 
-const ir::Kernel* pick_kernel(const ir::Program& program,
-                              const std::string& name, bool any_fallback) {
-  if (!name.empty()) return program.find_kernel(name);
-  for (const auto& k : program.kernels)
-    if (k->parallel_loop_count() > 0) return k.get();
-  if (any_fallback && !program.kernels.empty())
-    return program.kernels.front().get();
-  return nullptr;
-}
-
 void print_report(std::ostream& os, const ir::Kernel& kernel,
                   const transform::TransformResult* variant,
                   const sim::DeviceSpec& spec, int threads_per_block) {
@@ -808,7 +798,12 @@ int main(int argc, char** argv) {
   try {
     auto program = np::NpCompiler::parse(buffer.str());
     const bool guarded = opt->sanitize || opt->fallback || opt->certify;
-    const ir::Kernel* kernel = pick_kernel(*program, opt->kernel, guarded);
+    const ir::Kernel* kernel = np::pick_kernel(*program, opt->kernel);
+    // Transform mode needs a kernel with #pragma np loops; the guarded
+    // modes also audit an unannotated one as a baseline.
+    if (kernel && !guarded && opt->kernel.empty() &&
+        kernel->parallel_loop_count() == 0)
+      kernel = nullptr;
     if (!kernel) {
       std::cerr << "cudanp-cc: no kernel "
                 << (opt->kernel.empty() ? "with #pragma np loops"
