@@ -45,6 +45,15 @@ ArtifactCache::ArtifactCache(ArtifactCacheOptions opt)
   }
 }
 
+std::unique_ptr<ArtifactCache> make_artifact_cache(int max_entries,
+                                                   std::string dir) {
+  if (max_entries <= 0) return nullptr;
+  ArtifactCacheOptions co;
+  co.max_entries = max_entries;
+  co.dir = std::move(dir);
+  return std::make_unique<ArtifactCache>(std::move(co));
+}
+
 std::string ArtifactCache::file_path(const std::string& key) const {
   return opt_.dir + "/" + key + ".art";
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -106,5 +107,10 @@ class ArtifactCache {
   std::map<std::string, Entry> entries_;
   CacheStats stats_;
 };
+
+/// The cache `--cache-entries`/`--cache-dir` configure, for --batch and
+/// --serve alike: none when `max_entries` <= 0.
+[[nodiscard]] std::unique_ptr<ArtifactCache> make_artifact_cache(
+    int max_entries, std::string dir);
 
 }  // namespace cudanp::serve

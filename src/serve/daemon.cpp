@@ -205,12 +205,7 @@ bool ServeDaemon::start(std::string* error) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
 
-  if (opt_.cache_entries > 0) {
-    ArtifactCacheOptions co;
-    co.max_entries = opt_.cache_entries;
-    co.dir = opt_.cache_dir;
-    cache_ = std::make_unique<ArtifactCache>(co);
-  }
+  cache_ = make_artifact_cache(opt_.cache_entries, opt_.cache_dir);
   if (opt_.service.isolate == IsolationMode::kProcess) {
     SupervisorOptions so;
     so.worker_cmd = opt_.service.worker_cmd;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
 
 #include "sim/ops.hpp"
@@ -32,7 +34,7 @@ Value call_value(Builtin fn, const std::vector<Value>& xs) {
                          xs.size() > 1 ? xs[1] : Value{});
 }
 
-std::uint64_t hash_node(const SymNode& n) {
+std::uint64_t hash_node(const SymNode& n, std::span<const std::uint32_t> kids) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&](std::uint64_t v) {
     h ^= v;
@@ -46,15 +48,18 @@ std::uint64_t hash_node(const SymNode& n) {
   std::uint64_t fb = 0;
   std::memcpy(&fb, &n.fval, sizeof fb);
   mix(fb);
-  for (auto k : n.kids) mix(k);
-  return h;
+  for (auto k : kids) mix(k);
+  // FNV's low bits are weak; the index probes with them.
+  h ^= h >> 31;
+  h *= 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 29);
 }
 
 /// Bit-equality on fval so NaN / -0.0 intern consistently.
-bool node_eq(const SymNode& a, const SymNode& b) {
+bool same_head(const SymNode& a, const SymNode& b) {
   return a.kind == b.kind && a.type == b.type && a.op == b.op &&
          a.param == b.param && a.ival == b.ival &&
-         std::memcmp(&a.fval, &b.fval, sizeof a.fval) == 0 && a.kids == b.kids;
+         std::memcmp(&a.fval, &b.fval, sizeof a.fval) == 0;
 }
 
 std::uint64_t mix_pe(int param, std::int64_t elem) {
@@ -74,23 +79,64 @@ float sym_float_input(std::uint64_t seed, int param, std::int64_t elem) {
 // SymArena
 // ---------------------------------------------------------------------------
 
-std::uint32_t SymArena::intern(SymNode&& n) {
-  std::uint64_t h = hash_node(n);
-  auto& bucket = index_[h];
-  for (auto id : bucket)
-    if (node_eq(nodes_[id], n)) return id;
-  nodes_.push_back(std::move(n));
-  auto id = static_cast<std::uint32_t>(nodes_.size() - 1);
-  bucket.push_back(id);
+std::uint32_t SymArena::intern(const SymNode& head,
+                               std::span<const std::uint32_t> kids) {
+  const std::uint64_t h = hash_node(head, kids);
+  if (2 * (nodes_.size() + 1) > index_.size()) grow_index();
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = h & mask;
+  for (; index_[slot] != kInvalid; slot = (slot + 1) & mask) {
+    const std::uint32_t id = index_[slot];
+    const SymNode& n = nodes_[id];
+    if (hashes_[id] == h && same_head(n, head) &&
+        n.kid_count == kids.size() &&
+        std::equal(kids.begin(), kids.end(),
+                   kid_pool_.begin() + n.kid_begin))
+      return id;
+  }
+  if (kid_pool_.size() + kids.size() > kInvalid)
+    throw SymFault{"symbolic expression pool exhausted"};
+  SymNode n = head;
+  n.kid_begin = static_cast<std::uint32_t>(kid_pool_.size());
+  n.kid_count = static_cast<std::uint32_t>(kids.size());
+  kid_pool_.insert(kid_pool_.end(), kids.begin(), kids.end());
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(n);
+  hashes_.push_back(h);
+  index_[slot] = id;
   return id;
 }
+
+void SymArena::grow_index() {
+  const std::size_t size = std::max<std::size_t>(1024, 2 * index_.size());
+  index_.assign(size, kInvalid);
+  const std::size_t mask = size - 1;
+  for (std::uint32_t id = 0; id < nodes_.size(); ++id)
+    for (std::size_t slot = hashes_[id] & mask;; slot = (slot + 1) & mask)
+      if (index_[slot] == kInvalid) {
+        index_[slot] = id;
+        break;
+      }
+}
+
+namespace {
+/// Range of SymArena's direct-indexed small-constant cache: geometry
+/// arithmetic folds to these over and over.
+constexpr std::int64_t kSmallIntMin = -1024;
+constexpr std::int64_t kSmallIntMax = 1 << 16;  // exclusive
+}  // namespace
 
 std::uint32_t SymArena::cint(std::int64_t v) {
   SymNode n;
   n.kind = SymKind::kConstInt;
   n.type = ScalarType::kInt;
   n.ival = v;
-  return intern(std::move(n));
+  if (v < kSmallIntMin || v >= kSmallIntMax) return intern(n, {});
+  if (small_ints_.empty())
+    small_ints_.assign(kSmallIntMax - kSmallIntMin, kInvalid);
+  std::uint32_t& id = small_ints_[static_cast<std::size_t>(v - kSmallIntMin)];
+  if (id == kInvalid) id = intern(n, {});
+  return id;
 }
 
 std::uint32_t SymArena::cfloat(double v) {
@@ -98,7 +144,7 @@ std::uint32_t SymArena::cfloat(double v) {
   n.kind = SymKind::kConstFloat;
   n.type = ScalarType::kFloat;
   n.fval = Value::of_float(v).to_f32().f;
-  return intern(std::move(n));
+  return intern(n, {});
 }
 
 std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
@@ -108,7 +154,7 @@ std::uint32_t SymArena::input(std::int32_t param, std::int64_t elem,
   n.type = type;
   n.param = param;
   n.ival = elem;
-  return intern(std::move(n));
+  return intern(n, {});
 }
 
 bool SymArena::constant(std::uint32_t id, Value* out) const {
@@ -147,8 +193,8 @@ std::uint32_t SymArena::bin(BinOp op, std::uint32_t a, std::uint32_t b) {
       break;
     default: n.type = ScalarType::kInt; break;
   }
-  n.kids = {a, b};
-  return intern(std::move(n));
+  const std::uint32_t kids[] = {a, b};
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
@@ -161,8 +207,7 @@ std::uint32_t SymArena::un(UnOp op, std::uint32_t a) {
   n.kind = SymKind::kUnary;
   n.op = static_cast<std::uint8_t>(op);
   n.type = op == UnOp::kNeg ? nodes_[a].type : ScalarType::kInt;
-  n.kids = {a};
-  return intern(std::move(n));
+  return intern(n, {&a, 1});
 }
 
 std::uint32_t SymArena::call(Builtin fn, std::vector<std::uint32_t> kids) {
@@ -182,8 +227,7 @@ std::uint32_t SymArena::call(Builtin fn, std::vector<std::uint32_t> kids) {
   n.op = static_cast<std::uint8_t>(fn);
   n.type = ops::math_op(fn)->int_body && !any_float ? ScalarType::kInt
                                                     : ScalarType::kFloat;
-  n.kids = std::move(kids);
-  return intern(std::move(n));
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
@@ -202,8 +246,7 @@ std::uint32_t SymArena::cast(ScalarType to, std::uint32_t a) {
   n.kind = SymKind::kCast;
   n.op = static_cast<std::uint8_t>(target);
   n.type = target;
-  n.kids = {a};
-  return intern(std::move(n));
+  return intern(n, {&a, 1});
 }
 
 std::uint32_t SymArena::select(std::uint32_t c, std::uint32_t a,
@@ -217,8 +260,8 @@ std::uint32_t SymArena::select(std::uint32_t c, std::uint32_t a,
             nodes_[b].type == ScalarType::kFloat)
                ? ScalarType::kFloat
                : ScalarType::kInt;
-  n.kids = {c, a, b};
-  return intern(std::move(n));
+  const std::uint32_t kids[] = {c, a, b};
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::gather(std::uint32_t idx,
@@ -242,10 +285,11 @@ std::uint32_t SymArena::gather(std::uint32_t idx,
   SymNode n;
   n.kind = SymKind::kGather;
   n.type = type;
-  n.kids.reserve(cells.size() + 1);
-  n.kids.push_back(idx);
-  n.kids.insert(n.kids.end(), cells.begin(), cells.end());
-  return intern(std::move(n));
+  std::vector<std::uint32_t> kids;
+  kids.reserve(cells.size() + 1);
+  kids.push_back(idx);
+  kids.insert(kids.end(), cells.begin(), cells.end());
+  return intern(n, kids);
 }
 
 std::uint32_t SymArena::nary(SymNaryOp op, ScalarType type,
@@ -254,8 +298,7 @@ std::uint32_t SymArena::nary(SymNaryOp op, ScalarType type,
   n.kind = SymKind::kNary;
   n.op = static_cast<std::uint8_t>(op);
   n.type = type;
-  n.kids = std::move(kids);
-  return intern(std::move(n));
+  return intern(n, kids);
 }
 
 namespace {
@@ -270,62 +313,205 @@ Value combine_nary(SymNaryOp op, Value a, Value b) {
   return a;
 }
 
-}  // namespace
-
-std::uint32_t SymArena::make_nary(SymNaryOp op, ScalarType type,
-                                  std::vector<std::uint32_t> operands) {
-  // Flatten same-op sub-chains (AC), fold constants in encounter order,
-  // drop the neutral element (0 for +, 1 for *), dedupe idempotent
-  // min/max operands, sort by interned id.
-  std::vector<std::uint32_t> flat;
-  for (auto o : operands) {
-    const SymNode& on = nodes_[o];
-    if (on.kind == SymKind::kNary && static_cast<SymNaryOp>(on.op) == op)
-      flat.insert(flat.end(), on.kids.begin(), on.kids.end());
-    else
-      flat.push_back(o);
+/// The AC chain a raw node belongs to when normalized, if any: add/sub
+/// to +, mul and neg (-1 * x) to *, the min/max builtins to min/max.
+std::optional<SymNaryOp> chain_op(const SymNode& n) {
+  switch (n.kind) {
+    case SymKind::kBin:
+      switch (static_cast<BinOp>(n.op)) {
+        case BinOp::kAdd:
+        case BinOp::kSub: return SymNaryOp::kAdd;
+        case BinOp::kMul: return SymNaryOp::kMul;
+        default: return std::nullopt;
+      }
+    case SymKind::kUnary:
+      if (static_cast<UnOp>(n.op) == UnOp::kNeg) return SymNaryOp::kMul;
+      return std::nullopt;
+    case SymKind::kCall:
+      switch (static_cast<Builtin>(n.op)) {
+        case Builtin::kMin:
+        case Builtin::kFminf: return SymNaryOp::kMin;
+        case Builtin::kMax:
+        case Builtin::kFmaxf: return SymNaryOp::kMax;
+        default: return std::nullopt;
+      }
+    default: return std::nullopt;
   }
+}
+
+bool is_neg(const SymNode& n) {
+  return n.kind == SymKind::kUnary && static_cast<UnOp>(n.op) == UnOp::kNeg;
+}
+
+bool is_sub(const SymNode& n) {
+  return n.kind == SymKind::kBin && static_cast<BinOp>(n.op) == BinOp::kSub;
+}
+
+/// One level of an AC chain: the canonical form is defined as if every
+/// raw chain node were normalized on its own (as `make_nary(op, type,
+/// operands)`) and its result spliced into its parent. A level folds its
+/// constants in operand order, so constants merge in tree order; its
+/// non-constant operands are appended to a buffer shared by the whole
+/// walk, from `begin` on, and are only sorted once, at the root.
+struct Level {
+  SymNaryOp op;
+  ScalarType type;
+  std::size_t begin;
   bool have_c = false;
   Value acc{};
-  std::vector<std::uint32_t> rest;
-  bool any_float = type == ScalarType::kFloat;
-  for (auto o : flat) {
+  bool rest_float = false;  // some non-constant operand is float
+};
+
+void fold(Level& l, Value v) {
+  l.acc = l.have_c ? combine_nary(l.op, l.acc, v) : v;
+  l.have_c = true;
+}
+
+/// Adds one normalized operand to a level: a constant folds, a same-op
+/// kNary contributes its operands, anything else is an operand itself.
+void absorb(const SymArena& ar, Level& l, std::uint32_t o,
+            std::vector<std::uint32_t>& rest) {
+  auto one = [&](std::uint32_t x) {
     Value v;
-    if (constant(o, &v)) {
-      acc = have_c ? combine_nary(op, acc, v) : v;
-      have_c = true;
+    if (ar.constant(x, &v)) {
+      fold(l, v);
     } else {
-      rest.push_back(o);
-      any_float = any_float || nodes_[o].type == ScalarType::kFloat;
+      rest.push_back(x);
+      l.rest_float = l.rest_float || ar.node(x).type == ScalarType::kFloat;
     }
+  };
+  const SymNode& n = ar.node(o);
+  if (n.kind == SymKind::kNary && static_cast<SymNaryOp>(n.op) == l.op) {
+    for (auto k : ar.kids(o)) one(k);
+  } else {
+    one(o);
   }
-  if (have_c) {
-    any_float = any_float || acc.is_float();
-    bool neutral = false;
-    if (op == SymNaryOp::kAdd)
-      neutral = acc.is_float() ? acc.f == 0.0 : acc.i == 0;
-    else if (op == SymNaryOp::kMul)
-      neutral = acc.is_float() ? acc.f == 1.0 : acc.i == 1;
-    if (!neutral || rest.empty())
-      rest.push_back(acc.is_float() ? cfloat(acc.f) : cint(acc.i));
-  }
-  // Reduction chains normalize prefix-by-prefix, so the flattened kids
-  // usually arrive already sorted; skipping the sort keeps a length-k
-  // chain O(k) per prefix instead of O(k log k).
+}
+
+/// Whether the folded constant stays an operand: it is dropped when it
+/// is the neutral element (0 for +, 1 for *) and anything else is left.
+bool keeps_constant(const Level& l, std::size_t operands) {
+  if (!l.have_c) return false;
+  bool neutral = false;
+  if (l.op == SymNaryOp::kAdd)
+    neutral = l.acc.is_float() ? l.acc.f == 0.0 : l.acc.i == 0;
+  else if (l.op == SymNaryOp::kMul)
+    neutral = l.acc.is_float() ? l.acc.f == 1.0 : l.acc.i == 1;
+  return !neutral || operands == 0;
+}
+
+bool any_float(const Level& l) {
+  return l.type == ScalarType::kFloat || l.rest_float ||
+         (l.have_c && l.acc.is_float());
+}
+
+/// Interns the root level: operands sorted by id (deduplicated for the
+/// idempotent min/max), a lone operand returned as itself.
+std::uint32_t close_root(SymArena& ar, const Level& l,
+                         std::vector<std::uint32_t> rest) {
+  if (keeps_constant(l, rest.size()))
+    rest.push_back(l.acc.is_float() ? ar.cfloat(l.acc.f) : ar.cint(l.acc.i));
   if (!std::is_sorted(rest.begin(), rest.end()))
     std::sort(rest.begin(), rest.end());
-  if (op == SymNaryOp::kMin || op == SymNaryOp::kMax)
+  if (l.op == SymNaryOp::kMin || l.op == SymNaryOp::kMax)
     rest.erase(std::unique(rest.begin(), rest.end()), rest.end());
   if (rest.size() == 1) return rest[0];
-  return nary(op, any_float ? ScalarType::kFloat : ScalarType::kInt,
-              std::move(rest));
+  return ar.nary(l.op, any_float(l) ? ScalarType::kFloat : ScalarType::kInt,
+                 std::move(rest));
+}
+
+/// Canonical chain over already-normalized operands: flattens same-op
+/// kNary operands, folds constants in operand order, drops the neutral
+/// element, sorts.
+std::uint32_t make_nary(SymArena& ar, SymNaryOp op, ScalarType type,
+                        std::initializer_list<std::uint32_t> operands) {
+  Level l{op, type, 0};
+  std::vector<std::uint32_t> rest;
+  for (auto o : operands) absorb(ar, l, o, rest);
+  return close_root(ar, l, std::move(rest));
+}
+
+}  // namespace
+
+std::uint32_t SymArena::flatten(std::uint32_t root, SymNaryOp op) {
+  // Post-order walk over the raw chain with an explicit stack (chains
+  // are as deep as the loops that built them). Each frame is one chain
+  // node and the make_nary level it stands for.
+  struct Frame {
+    std::uint32_t id;
+    std::uint32_t next = 0;  // next kid to visit
+    Level level;
+  };
+  std::vector<std::uint32_t> rest;
+  std::vector<Frame> stack;
+  auto open = [&](std::uint32_t id) {
+    const SymNode& n = nodes_[id];
+    Frame f{id, 0, Level{op, n.type, rest.size()}};
+    if (is_neg(n)) fold(f.level, Value::of_int(-1));  // neg x = -1 * x
+    stack.push_back(f);
+  };
+  open(root);
+  for (;;) {
+    Frame& f = stack.back();
+    const SymNode n = nodes_[f.id];  // copy: normalize below grows nodes_
+    if (f.next < n.kid_count) {
+      const std::uint32_t i = f.next++;
+      const std::uint32_t k = kid_pool_[n.kid_begin + i];
+      if (is_sub(n) && i == 1) {
+        // a - b = a + (-1 * b): the product is its own canonical chain.
+        const std::uint32_t b = normalize(k);
+        absorb(*this, f.level,
+               make_nary(*this, SymNaryOp::kMul, nodes_[b].type,
+                         {cint(-1), b}),
+               rest);
+      } else if (chain_op(nodes_[k]) == op) {
+        open(k);  // interior: walked, never interned
+      } else {
+        const std::uint32_t a = normalize(k);
+        if (is_neg(n)) f.level.type = nodes_[a].type;
+        absorb(*this, f.level, a, rest);
+      }
+      continue;
+    }
+    if (stack.size() == 1) return close_root(*this, f.level, std::move(rest));
+    // Splice the finished level into its parent: its operands are
+    // already in `rest`; its constant survives as make_nary would keep
+    // it, rounded like the cfloat node that would carry it.
+    const Level done = f.level;
+    stack.pop_back();
+    Level& parent = stack.back().level;
+    const std::size_t operands = rest.size() - done.begin;
+    const bool kept = keeps_constant(done, operands);
+    if (is_neg(nodes_[stack.back().id])) {
+      // neg takes its operand's normalized type.
+      if (operands == 0)
+        parent.type = done.acc.is_float() ? ScalarType::kFloat
+                                          : ScalarType::kInt;
+      else if (operands == 1 && !kept)
+        parent.type = nodes_[rest[done.begin]].type;
+      else
+        parent.type = any_float(done) ? ScalarType::kFloat : ScalarType::kInt;
+    }
+    parent.rest_float = parent.rest_float || done.rest_float;
+    if (kept)
+      fold(parent, done.acc.is_float() ? done.acc.to_f32() : done.acc);
+  }
 }
 
 std::uint32_t SymArena::normalize(std::uint32_t id) {
   if (id == kInvalid) return id;
-  auto it = norm_memo_.find(id);
-  if (it != norm_memo_.end()) return it->second;
+  if (id < norm_memo_.size() && norm_memo_[id] != kInvalid)
+    return norm_memo_[id];
+  const auto op = chain_op(nodes_[id]);
+  const std::uint32_t r = op ? flatten(id, *op) : rewrite(id);
+  if (id >= norm_memo_.size()) norm_memo_.resize(nodes_.size(), kInvalid);
+  norm_memo_[id] = r;
+  return r;
+}
+
+std::uint32_t SymArena::rewrite(std::uint32_t id) {
   const SymNode n = nodes_[id];  // copy: builders below may grow nodes_
+  auto kid = [&](std::size_t i) { return kid_pool_[n.kid_begin + i]; };
   std::uint32_t r = id;
   switch (n.kind) {
     case SymKind::kConstInt:
@@ -335,21 +521,10 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
       r = id;
       break;
     case SymKind::kBin: {
-      std::uint32_t a = normalize(n.kids[0]);
-      std::uint32_t b = normalize(n.kids[1]);
+      std::uint32_t a = normalize(kid(0));
+      std::uint32_t b = normalize(kid(1));
       auto op = static_cast<BinOp>(n.op);
       switch (op) {
-        case BinOp::kAdd:
-          r = make_nary(SymNaryOp::kAdd, n.type, {a, b});
-          break;
-        case BinOp::kSub:
-          r = make_nary(
-              SymNaryOp::kAdd, n.type,
-              {a, make_nary(SymNaryOp::kMul, nodes_[b].type, {cint(-1), b})});
-          break;
-        case BinOp::kMul:
-          r = make_nary(SymNaryOp::kMul, n.type, {a, b});
-          break;
         case BinOp::kGt: r = bin(BinOp::kLt, b, a); break;
         case BinOp::kGe: r = bin(BinOp::kLe, b, a); break;
         case BinOp::kEq:
@@ -366,34 +541,24 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
       }
       break;
     }
-    case SymKind::kUnary: {
-      std::uint32_t a = normalize(n.kids[0]);
-      if (static_cast<UnOp>(n.op) == UnOp::kNeg)
-        r = make_nary(SymNaryOp::kMul, nodes_[a].type, {cint(-1), a});
-      else
-        r = un(UnOp::kLNot, a);
+    case SymKind::kUnary:  // kLNot; kNeg is a * chain
+      r = un(UnOp::kLNot, normalize(kid(0)));
       break;
-    }
     case SymKind::kCall: {
       std::vector<std::uint32_t> kids;
-      kids.reserve(n.kids.size());
-      for (auto k : n.kids) kids.push_back(normalize(k));
-      auto fn = static_cast<Builtin>(n.op);
-      if (fn == Builtin::kMin || fn == Builtin::kFminf)
-        r = make_nary(SymNaryOp::kMin, n.type, std::move(kids));
-      else if (fn == Builtin::kMax || fn == Builtin::kFmaxf)
-        r = make_nary(SymNaryOp::kMax, n.type, std::move(kids));
-      else
-        r = call(fn, std::move(kids));
+      kids.reserve(n.kid_count);
+      for (std::uint32_t i = 0; i < n.kid_count; ++i)
+        kids.push_back(normalize(kid(i)));
+      r = call(static_cast<Builtin>(n.op), std::move(kids));
       break;
     }
     case SymKind::kCast:
-      r = cast(static_cast<ScalarType>(n.op), normalize(n.kids[0]));
+      r = cast(static_cast<ScalarType>(n.op), normalize(kid(0)));
       break;
     case SymKind::kSelect: {
-      std::uint32_t c = normalize(n.kids[0]);
-      std::uint32_t t = normalize(n.kids[1]);
-      std::uint32_t e = normalize(n.kids[2]);
+      std::uint32_t c = normalize(kid(0));
+      std::uint32_t t = normalize(kid(1));
+      std::uint32_t e = normalize(kid(2));
       Value cv;
       if (constant(c, &cv)) {
         r = cv.truthy() ? t : e;
@@ -408,16 +573,17 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
       if (cn.kind == SymKind::kBin) {
         auto cop = static_cast<BinOp>(cn.op);
         if (cop == BinOp::kLt || cop == BinOp::kLe) {
-          std::uint32_t x = cn.kids[0], y = cn.kids[1];
+          std::uint32_t x = kid_pool_[cn.kid_begin];
+          std::uint32_t y = kid_pool_[cn.kid_begin + 1];
           ScalarType ty = (nodes_[t].type == ScalarType::kFloat ||
                            nodes_[e].type == ScalarType::kFloat)
                               ? ScalarType::kFloat
                               : ScalarType::kInt;
           if (t == x && e == y) {
-            r = make_nary(SymNaryOp::kMin, ty, {x, y});
+            r = make_nary(*this, SymNaryOp::kMin, ty, {x, y});
             made = true;
           } else if (t == y && e == x) {
-            r = make_nary(SymNaryOp::kMax, ty, {x, y});
+            r = make_nary(*this, SymNaryOp::kMax, ty, {x, y});
             made = true;
           }
         }
@@ -426,25 +592,25 @@ std::uint32_t SymArena::normalize(std::uint32_t id) {
       break;
     }
     case SymKind::kGather: {
-      std::uint32_t idx = normalize(n.kids[0]);
+      std::uint32_t idx = normalize(kid(0));
       std::vector<std::uint32_t> cells;
-      cells.reserve(n.kids.size() - 1);
-      for (std::size_t i = 1; i < n.kids.size(); ++i)
-        cells.push_back(normalize(n.kids[i]));
+      cells.reserve(n.kid_count - 1);
+      for (std::uint32_t i = 1; i < n.kid_count; ++i)
+        cells.push_back(normalize(kid(i)));
       r = gather(idx, cells, n.type);
       break;
     }
   }
-  norm_memo_[id] = r;
   return r;
 }
 
 std::string SymArena::str(std::uint32_t id, int max_depth) const {
   if (id == kInvalid) return "<uninit>";
   const SymNode& n = nodes_[id];
+  const auto kids = this->kids(id);
   if (max_depth <= 0) return "...";
   std::ostringstream os;
-  auto kid = [&](std::size_t i) { return str(n.kids[i], max_depth - 1); };
+  auto kid = [&](std::size_t i) { return str(kids[i], max_depth - 1); };
   switch (n.kind) {
     case SymKind::kConstInt: os << n.ival; break;
     case SymKind::kConstFloat: os << n.fval << "f"; break;
@@ -463,7 +629,7 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
       break;
     case SymKind::kCall: {
       os << ops::math_op(static_cast<Builtin>(n.op))->name << "(";
-      for (std::size_t i = 0; i < n.kids.size(); ++i)
+      for (std::size_t i = 0; i < kids.size(); ++i)
         os << (i ? ", " : "") << kid(i);
       os << ")";
       break;
@@ -476,12 +642,12 @@ std::string SymArena::str(std::uint32_t id, int max_depth) const {
       os << "(" << kid(0) << " ? " << kid(1) << " : " << kid(2) << ")";
       break;
     case SymKind::kGather:
-      os << "gather[" << (n.kids.size() - 1) << "](" << kid(0) << ")";
+      os << "gather[" << (kids.size() - 1) << "](" << kid(0) << ")";
       break;
     case SymKind::kNary: {
       static const char* kOps[] = {" + ", " * ", " min ", " max "};
       os << "(";
-      for (std::size_t i = 0; i < n.kids.size(); ++i)
+      for (std::size_t i = 0; i < kids.size(); ++i)
         os << (i ? kOps[n.op] : "") << kid(i);
       os << ")";
       break;
@@ -502,6 +668,7 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
     return true;
   }
   const SymNode& n = arena_.node(id);
+  const auto kids = arena_.kids(id);
   Value r;
   try {
     switch (n.kind) {
@@ -513,26 +680,26 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
         break;
       case SymKind::kBin: {
         Value a, b;
-        if (!eval(n.kids[0], &a) || !eval(n.kids[1], &b)) return false;
+        if (!eval(kids[0], &a) || !eval(kids[1], &b)) return false;
         r = ops::apply_binop(static_cast<ir::BinOp>(n.op), a, b, sym_fail);
         break;
       }
       case SymKind::kUnary: {
         Value a;
-        if (!eval(n.kids[0], &a)) return false;
+        if (!eval(kids[0], &a)) return false;
         r = ops::apply_unop(static_cast<ir::UnOp>(n.op), a);
         break;
       }
       case SymKind::kCall: {
-        std::vector<Value> xs(n.kids.size());
-        for (std::size_t i = 0; i < n.kids.size(); ++i)
-          if (!eval(n.kids[i], &xs[i])) return false;
+        std::vector<Value> xs(kids.size());
+        for (std::size_t i = 0; i < kids.size(); ++i)
+          if (!eval(kids[i], &xs[i])) return false;
         r = call_value(static_cast<Builtin>(n.op), xs);
         break;
       }
       case SymKind::kCast: {
         Value a;
-        if (!eval(n.kids[0], &a)) return false;
+        if (!eval(kids[0], &a)) return false;
         r = ops::coerce(a, static_cast<ir::ScalarType>(n.op));
         break;
       }
@@ -540,25 +707,25 @@ bool SymEvaluator::eval(std::uint32_t id, Value* out) {
         // Lazy like the branch it models: the untaken side may hold a
         // gather whose index is out of range on this lane.
         Value c;
-        if (!eval(n.kids[0], &c) || !eval(n.kids[c.truthy() ? 1 : 2], &r))
+        if (!eval(kids[0], &c) || !eval(kids[c.truthy() ? 1 : 2], &r))
           return false;
         break;
       }
       case SymKind::kGather: {
         Value iv;
-        if (!eval(n.kids[0], &iv)) return false;
+        if (!eval(kids[0], &iv)) return false;
         std::int64_t i = iv.as_i();
-        auto ncells = static_cast<std::int64_t>(n.kids.size()) - 1;
+        auto ncells = static_cast<std::int64_t>(kids.size()) - 1;
         if (i < 0 || i >= ncells) return false;
-        if (!eval(n.kids[static_cast<std::size_t>(1 + i)], &r)) return false;
+        if (!eval(kids[static_cast<std::size_t>(1 + i)], &r)) return false;
         break;
       }
       case SymKind::kNary: {
-        if (!eval(n.kids[0], &r)) return false;
+        if (!eval(kids[0], &r)) return false;
         auto op = static_cast<SymNaryOp>(n.op);
-        for (std::size_t i = 1; i < n.kids.size(); ++i) {
+        for (std::size_t i = 1; i < kids.size(); ++i) {
           Value x;
-          if (!eval(n.kids[i], &x)) return false;
+          if (!eval(kids[i], &x)) return false;
           r = combine_nary(op, r, x);
         }
         break;

@@ -23,6 +23,14 @@
 // prove equivalence modulo reassociation/commutation, which is the right
 // contract for NP-transformed float reductions and scans.
 //
+// Symbolic execution builds raw nodes only (never kNary); AC chains are
+// flattened lazily, by SymArena::normalize, and only at the roots the
+// certifier compares (and the leaves those roots reach). One
+// explicit-stack walk collects a whole +,*,min or max chain and interns
+// a single sorted kNary for it: interior chain nodes are never interned
+// or memoised, so normalising a k-term chain costs O(k) nodes and kid
+// entries instead of one sorted node per prefix.
+//
 // Anything outside the supported envelope (symbolic loop bounds,
 // symbolic store indices, barriers, shuffles, returns or shared-memory
 // stores under symbolically divergent branches, cross-block data flow,
@@ -38,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,7 +83,10 @@ struct SymNode {
   std::int32_t param = -1;   // kInput: argument index
   std::int64_t ival = 0;     // kConstInt value / kInput element index
   double fval = 0.0;         // kConstFloat value
-  std::vector<std::uint32_t> kids;
+  /// Operands: kid_count ids from kid_begin in the owning arena's kid
+  /// pool (SymArena::kids).
+  std::uint32_t kid_begin = 0;
+  std::uint32_t kid_count = 0;
 };
 
 /// Raised by constant folding when the folded operation would make the
@@ -91,6 +103,10 @@ struct SymFault {
 /// eagerly when every operand is constant, through the operator table
 /// the interpreter shares (sim/ops.hpp: f32 rounding on float ops and
 /// math calls).
+///
+/// Storage is flat: nodes are plain records, every node's operands live
+/// in one shared kid pool, and the hash-cons index is one open-addressed
+/// table of node ids probed with each node's stored hash.
 class SymArena {
  public:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
@@ -120,28 +136,48 @@ class SymArena {
   [[nodiscard]] const SymNode& node(std::uint32_t id) const {
     return nodes_[id];
   }
+  /// A node's operands. The view is invalidated by the next builder call.
+  [[nodiscard]] std::span<const std::uint32_t> kids(std::uint32_t id) const {
+    const SymNode& n = nodes_[id];
+    return {kid_pool_.data() + n.kid_begin, n.kid_count};
+  }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  /// Operand entries across all nodes (the kid pool's length).
+  [[nodiscard]] std::size_t kid_entries() const { return kid_pool_.size(); }
 
   /// True when the node is a constant; fills `out` with its Value.
   [[nodiscard]] bool constant(std::uint32_t id, Value* out) const;
 
   /// Canonical form: constants folded, sub/neg rewritten into add/mul
   /// chains, +,*,min,max flattened into sorted kNary nodes, comparisons
-  /// oriented, select-over-comparison rewritten to min/max. Memoized.
+  /// oriented, select-over-comparison rewritten to min/max. Memoized per
+  /// node; an AC chain is flattened in one walk from the node asked for.
   [[nodiscard]] std::uint32_t normalize(std::uint32_t id);
 
   /// Renders an expression for diagnostics (depth-capped).
   [[nodiscard]] std::string str(std::uint32_t id, int max_depth = 6) const;
 
  private:
-  [[nodiscard]] std::uint32_t intern(SymNode&& n);
+  [[nodiscard]] std::uint32_t intern(const SymNode& head,
+                                     std::span<const std::uint32_t> kids);
+  void grow_index();
   [[nodiscard]] std::uint32_t fold_bin(ir::BinOp op, Value a, Value b);
-  [[nodiscard]] std::uint32_t make_nary(SymNaryOp op, ir::ScalarType type,
-                                        std::vector<std::uint32_t> operands);
+  /// normalize() of the +,*,min or max chain rooted at `root`.
+  [[nodiscard]] std::uint32_t flatten(std::uint32_t root, SymNaryOp op);
+  /// normalize() of any other node, over its normalized operands.
+  [[nodiscard]] std::uint32_t rewrite(std::uint32_t id);
 
   std::vector<SymNode> nodes_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  std::unordered_map<std::uint32_t, std::uint32_t> norm_memo_;
+  std::vector<std::uint64_t> hashes_;  // per node, parallel to nodes_
+  std::vector<std::uint32_t> kid_pool_;
+  /// Open-addressed (linear probing) hash-cons index of node ids;
+  /// kInvalid marks an empty slot. Size is a power of two.
+  std::vector<std::uint32_t> index_;
+  /// cint ids of small constants, by value - kSmallIntMin; filled on
+  /// first use so the arena interns exactly what an uncached one would.
+  std::vector<std::uint32_t> small_ints_;
+  /// normalize results by node id (kInvalid: not normalized yet).
+  std::vector<std::uint32_t> norm_memo_;
 };
 
 /// How one kernel argument is modelled symbolically.

@@ -4,6 +4,7 @@
 // compiler integration (kProvenWrong quarantine + certified fast path).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -119,6 +120,32 @@ TEST(SymArena, NormalizeRewritesSelectOverLessIntoMin) {
   auto selmax = a.select(a.bin(ir::BinOp::kLt, x, y), y, x);
   auto fmax = a.call(sim::Builtin::kFmaxf, {x, y});
   EXPECT_EQ(a.normalize(selmax), a.normalize(fmax));
+}
+
+TEST(SymArena, NormalizeIsLinearInChainLength) {
+  // A loop's `d += x[i]` builds a left-deep add chain as long as the
+  // loop. Normalising it walks the chain once, without recursing as deep
+  // as it is, and interns one sorted chain node: O(k) new nodes and kid
+  // entries, not one sorted node per prefix.
+  constexpr std::uint32_t kTerms = 100000;
+  sim::SymArena a;
+  auto acc = a.input(0, 0, ir::ScalarType::kFloat);
+  for (std::uint32_t i = 1; i < kTerms; ++i)
+    acc = a.bin(ir::BinOp::kAdd, acc, a.input(0, i, ir::ScalarType::kFloat));
+  const std::size_t nodes = a.size();
+  const std::size_t kids = a.kid_entries();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto norm = a.normalize(acc);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(a.node(norm).kind, sim::SymKind::kNary);
+  EXPECT_EQ(a.kids(norm).size(), kTerms);
+  EXPECT_LT(a.size() - nodes, kTerms);
+  EXPECT_LT(a.kid_entries() - kids, 3 * kTerms);
+  EXPECT_LT(took.count(), 5.0);
+  // Memoised: the second call adds nothing.
+  EXPECT_EQ(a.normalize(acc), norm);
+  EXPECT_EQ(a.kid_entries() - kids, kTerms);
 }
 
 // ---------------------------------------------------------------------

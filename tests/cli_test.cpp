@@ -10,7 +10,9 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "temp_util.hpp"
@@ -320,6 +322,35 @@ TEST(Cli, BatchHealthyManifestExitsZero) {
   EXPECT_NE(r.output.find("SERVED\n"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("\"submitted\":1"), std::string::npos)
       << r.output;
+}
+
+TEST(Cli, CertifiedBatchStoresCertificatesInCacheDir) {
+  // --batch builds the daemon's artifact cache: a --certify batch stores
+  // its certificates under --cache-dir, and a second run over the same
+  // directory serves them back into a byte-identical report.
+  auto kernel = write_temp_kernel(kTmv);
+  ScopedTempDir cache("cudanp_cli_certcache");
+  auto manifest = write_temp_file(
+      "certcache.txt", "file=" + kernel + " elems=16 tb=8 name=alpha\n"
+                       "file=" + kernel + " elems=16 tb=8 name=beta\n");
+  const std::string args =
+      "--batch=" + manifest + " --certify --cache-dir=" + cache.path();
+  auto first = run_cli(args);
+  EXPECT_EQ(first.exit_code, 0) << first.output;
+
+  int certificates = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(cache.path())) {
+    std::ifstream in(entry.path());
+    std::ostringstream body;
+    body << in.rdbuf();
+    certificates += body.str().find("\"verdict\":") != std::string::npos;
+  }
+  EXPECT_GT(certificates, 0);
+
+  auto second = run_cli(args);
+  EXPECT_EQ(second.exit_code, 0) << second.output;
+  EXPECT_EQ(first.output, second.output);
 }
 
 TEST(Cli, BatchMixedManifestExitsSevenWithAllTerminalStates) {

@@ -101,9 +101,11 @@
 //                         jobs (default 8)
 //   --session-idle-ms=<n> a client silent this long is reaped (default
 //                         30000)
-//   --cache-entries=<n>   compile-cache capacity (default 256; 0 disables)
-//   --cache-dir=<dir>     persist cache entries across restarts (entries
-//                         are checksummed; torn/corrupt ones quarantined)
+//   --cache-entries=<n>   compile/certificate cache capacity, for --batch
+//                         and --serve (default 256; 0 disables)
+//   --cache-dir=<dir>     persist cache entries across runs and restarts
+//                         (entries are checksummed; torn/corrupt ones
+//                         quarantined)
 //   --journal-dir=<dir>   journal each request as req-<fingerprint>.journal
 //                         with resume-if-present, making restart idempotent
 //   --shared-breakers     share circuit breakers across tenants (off by
@@ -139,6 +141,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -239,6 +242,7 @@ void usage() {
          "                 [--journal=<file>] [--resume]\n"
          "                 [--commit-chunk=<n>] [--heartbeat-ms=<n>]\n"
          "                 [--certify] [--certified-fast-path]\n"
+         "                 [--cache-entries=<n>] [--cache-dir=<dir>]\n"
          "                 [-o <file>]\n"
          "       cudanp-cc --serve=<socket> [batch flags]\n"
          "                 [--tenant-quota=<n>] [--max-pending=<n>]\n"
@@ -586,6 +590,11 @@ int run_batch(const CliOptions& opt, std::ostream& os) {
   serve::ServiceOptions sopts = service_options_from_cli(opt);
   sopts.journal_path = opt.journal;
   sopts.resume = opt.resume;
+  // The daemon's cache: identical jobs in one batch, and with
+  // --cache-dir across runs, share one compile and one certificate.
+  const std::unique_ptr<serve::ArtifactCache> cache =
+      serve::make_artifact_cache(opt.cache_entries, opt.cache_dir);
+  sopts.artifact_cache = cache.get();
 
   auto spec = sim::DeviceSpec::gtx680();
   spec.sm_version = opt.sm;
