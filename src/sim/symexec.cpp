@@ -13,6 +13,7 @@
 #include <initializer_list>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 
 #include "sim/ops.hpp"
 #include "support/rng.hpp"
@@ -119,24 +120,12 @@ void SymArena::grow_index() {
       }
 }
 
-namespace {
-/// Range of SymArena's direct-indexed small-constant cache: geometry
-/// arithmetic folds to these over and over.
-constexpr std::int64_t kSmallIntMin = -1024;
-constexpr std::int64_t kSmallIntMax = 1 << 16;  // exclusive
-}  // namespace
-
 std::uint32_t SymArena::cint(std::int64_t v) {
   SymNode n;
   n.kind = SymKind::kConstInt;
   n.type = ScalarType::kInt;
   n.ival = v;
-  if (v < kSmallIntMin || v >= kSmallIntMax) return intern(n, {});
-  if (small_ints_.empty())
-    small_ints_.assign(kSmallIntMax - kSmallIntMin, kInvalid);
-  std::uint32_t& id = small_ints_[static_cast<std::size_t>(v - kSmallIntMin)];
-  if (id == kInvalid) id = intern(n, {});
-  return id;
+  return intern(n, {});
 }
 
 std::uint32_t SymArena::cfloat(double v) {
@@ -444,6 +433,19 @@ std::uint32_t SymArena::flatten(std::uint32_t root, SymNaryOp op) {
   };
   std::vector<std::uint32_t> rest;
   std::vector<Frame> stack;
+  // min and max are idempotent and deduplicate at the root, so a
+  // sub-chain met again (a DAG such as m = fmaxf(m, m) repeated) splices
+  // its first walk's level instead of being walked once per path.
+  const bool idempotent = op == SymNaryOp::kMin || op == SymNaryOp::kMax;
+  std::unordered_map<std::uint32_t, Level> walked;
+  // Splices a finished level into its parent: its operands are already
+  // in `rest`; its constant survives as make_nary would keep it, rounded
+  // like the cfloat node that would carry it.
+  auto splice = [](Level& parent, const Level& done, bool kept) {
+    parent.rest_float = parent.rest_float || done.rest_float;
+    if (kept)
+      fold(parent, done.acc.is_float() ? done.acc.to_f32() : done.acc);
+  };
   auto open = [&](std::uint32_t id) {
     const SymNode& n = nodes_[id];
     Frame f{id, 0, Level{op, n.type, rest.size()}};
@@ -465,7 +467,10 @@ std::uint32_t SymArena::flatten(std::uint32_t root, SymNaryOp op) {
                          {cint(-1), b}),
                rest);
       } else if (chain_op(nodes_[k]) == op) {
-        open(k);  // interior: walked, never interned
+        if (auto it = walked.find(k); it != walked.end())
+          splice(f.level, it->second, it->second.have_c);  // no neutral drop
+        else
+          open(k);  // interior: walked, never interned
       } else {
         const std::uint32_t a = normalize(k);
         if (is_neg(n)) f.level.type = nodes_[a].type;
@@ -474,10 +479,8 @@ std::uint32_t SymArena::flatten(std::uint32_t root, SymNaryOp op) {
       continue;
     }
     if (stack.size() == 1) return close_root(*this, f.level, std::move(rest));
-    // Splice the finished level into its parent: its operands are
-    // already in `rest`; its constant survives as make_nary would keep
-    // it, rounded like the cfloat node that would carry it.
     const Level done = f.level;
+    if (idempotent) walked.emplace(f.id, done);
     stack.pop_back();
     Level& parent = stack.back().level;
     const std::size_t operands = rest.size() - done.begin;
@@ -492,9 +495,7 @@ std::uint32_t SymArena::flatten(std::uint32_t root, SymNaryOp op) {
       else
         parent.type = any_float(done) ? ScalarType::kFloat : ScalarType::kInt;
     }
-    parent.rest_float = parent.rest_float || done.rest_float;
-    if (kept)
-      fold(parent, done.acc.is_float() ? done.acc.to_f32() : done.acc);
+    splice(parent, done, kept);
   }
 }
 

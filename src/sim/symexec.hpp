@@ -29,7 +29,8 @@
 // explicit-stack walk collects a whole +,*,min or max chain and interns
 // a single sorted kNary for it: interior chain nodes are never interned
 // or memoised, so normalising a k-term chain costs O(k) nodes and kid
-// entries instead of one sorted node per prefix.
+// entries instead of one sorted node per prefix. A min/max sub-chain
+// shared within one walk is opened once, however many paths reach it.
 //
 // Anything outside the supported envelope (symbolic loop bounds,
 // symbolic store indices, barriers, shuffles, returns or shared-memory
@@ -173,9 +174,6 @@ class SymArena {
   /// Open-addressed (linear probing) hash-cons index of node ids;
   /// kInvalid marks an empty slot. Size is a power of two.
   std::vector<std::uint32_t> index_;
-  /// cint ids of small constants, by value - kSmallIntMin; filled on
-  /// first use so the arena interns exactly what an uncached one would.
-  std::vector<std::uint32_t> small_ints_;
   /// normalize results by node id (kInvalid: not normalized yet).
   std::vector<std::uint32_t> norm_memo_;
 };

@@ -156,6 +156,8 @@ std::vector<std::uint32_t> edge_cases(SymArena& a) {
   auto fmin = [&](auto p, auto q) { return a.call(Builtin::kFminf, {p, q}); };
   auto fmax = [&](auto p, auto q) { return a.call(Builtin::kFmaxf, {p, q}); };
   auto c = [&](double v) { return a.cfloat(v); };
+  const auto sx = fmax(x, c(-0.0));
+  const auto sn = fmin(c(0.0), add(y, c(1.0)));
   return {
       // -0.0 folds and neutral drops.
       add(x, c(-0.0)), add(c(-0.0), x), x, add(add(x, c(-0.0)), c(0.0)),
@@ -182,6 +184,11 @@ std::vector<std::uint32_t> edge_cases(SymArena& a) {
       a.select(a.bin(BinOp::kLt, x, y), y, x),
       a.select(a.bin(BinOp::kGt, y, x), x, y),
       fmin(a.select(a.bin(BinOp::kLt, x, y), x, y), z), fmin(fmin(x, y), z),
+      // Shared min/max sub-chains (DAGs) carrying constants and +-0 ties.
+      fmax(sx, fmax(c(0.0), sx)), fmax(fmax(c(0.0), sx), sx), fmax(sx, c(0.0)),
+      fmax(fmax(sx, sx), fmax(c(0.0), fmax(sx, y))), fmax(fmax(x, y), c(-0.0)),
+      fmin(fmin(sn, c(-0.0)), fmin(sn, fmin(sn, z))), fmin(sn, z),
+      fmin(fmax(sx, sx), fmax(sx, y)),
       // Mixed int / float chains.
       add(add(i, a.cint(2)), c(0.5)), add(i, add(a.cint(2), c(0.5))),
       add(add(i, c(0.5)), a.cint(2)), mul(mul(i, a.cint(3)), x),
@@ -227,6 +234,20 @@ TEST(NormalizeOracle, InternsTheSameCanonicalNode) {
   testing::PrefixNormalizer oracle(a);
   for (auto id : ids)
     ASSERT_EQ(a.normalize(id), oracle.normalize(id)) << a.str(id);
+}
+
+TEST(NormalizeOracle, SharedMinMaxChainIsWalkedOncePerNode) {
+  // m = fmaxf(m, m), forty times: 41 distinct chain nodes but 2^40
+  // paths from the root. Each shared sub-chain is opened once.
+  SymArena a;
+  auto m = a.call(Builtin::kFmaxf, {a.input(0, 0, ScalarType::kFloat),
+                                    a.cfloat(-0.0)});
+  for (int k = 0; k < 40; ++k) m = a.call(Builtin::kFmaxf, {m, m});
+  const std::size_t kids = a.kid_entries();
+  testing::PrefixNormalizer oracle(a);
+  const std::uint32_t norm = a.normalize(m);
+  EXPECT_LT(a.kid_entries() - kids, 8u);
+  EXPECT_EQ(norm, oracle.normalize(m));
 }
 
 }  // namespace
